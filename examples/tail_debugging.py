@@ -1,52 +1,56 @@
 #!/usr/bin/env python3
-"""Debugging a latency tail with per-request timelines.
+"""Debugging a latency tail with per-request phase marks.
 
-Percentiles tell you a tail exists; timelines tell you *why*.  This
-example runs an RSS d-FCFS server under a dispersive workload, attaches
-a :class:`~repro.analysis.timeline.TimelineRecorder` through the
-completion hook, and prints the life of the slowest requests -- which
-turn out (predictably) to be shorts that queued behind a long request
-on a hashed-hot core.
+Percentiles tell you a tail exists; phase marks tell you *why*.  This
+example runs an 8-core Altocumulus server under a dispersive workload
+inside a :func:`~repro.telemetry.capture` with a
+:class:`~repro.telemetry.TraceSink`, then prints the phase marks of the
+slowest requests: each mark is the instant the request entered that
+phase, so the gap before the next mark is the time spent in it.
 
 Usage::
 
     python examples/tail_debugging.py
 """
 
-from repro.analysis.timeline import TimelineRecorder
-from repro.api import run_workload
-from repro.schedulers.rss import RssSystem
+from repro.api import build_system, run_workload
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.telemetry import TraceSink, capture
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.service import Bimodal
 
 
 def main() -> None:
-    sim, streams = Simulator(), RandomStreams(31)
-    system = RssSystem(sim, streams, 8)
-    recorder = TimelineRecorder(max_requests=100_000)
-    system.completion_hooks.append(recorder.record_lifecycle)
-
     service = Bimodal(500.0, 200_000.0, 0.005)  # 0.5% x 200 us longs
-    result = run_workload(
-        system, sim, streams,
-        PoissonArrivals(0.6 * 8 / service.mean * 1e9), service,
-        n_requests=30_000,
-    )
+    with capture(trace=TraceSink(capacity=500_000)) as cap:
+        sim, streams = Simulator(), RandomStreams(31)
+        system = build_system("altocumulus", sim, streams, 8)
+        result = run_workload(
+            system, sim, streams,
+            PoissonArrivals(0.6 * 8 / service.mean * 1e9), service,
+            n_requests=30_000,
+        )
     print(f"p50 = {result.latency.p50 / 1000:.2f} us, "
           f"p99 = {result.latency.p99 / 1000:.2f} us, "
           f"max = {result.latency.maximum / 1000:.2f} us\n")
-    print("The three slowest requests, step by step:\n")
-    for timeline in recorder.slowest(3):
-        print(timeline.render())
+    print("The three slowest requests, phase by phase:\n")
+    marks = cap.trace.marks_by_request()
+    slowest = sorted(result.requests, key=lambda r: r.latency, reverse=True)
+    for request in slowest[:3]:
+        print(f"request #{request.req_id} on core {request.core_id} "
+              f"(service {request.service_time / 1000:.2f} us, "
+              f"{request.latency / 1000:.2f} us end to end)")
+        t0 = marks[request.req_id][0][1]
+        for phase, t in marks[request.req_id]:
+            print(f"  +{(t - t0) / 1000:10.3f} us  {phase}")
         print()
     print(
-        "Reading the timelines: each victim enqueued behind a deep queue\n"
-        "(see queue_len at 'enqueued') and only 'started' after the long\n"
-        "request ahead of it drained -- head-of-line blocking, the\n"
-        "pathology every scheduler in this repository beyond plain RSS\n"
-        "exists to fix."
+        "Reading the marks: a short's long gap between 'netrx_queue' and\n"
+        "'dispatch' is time spent waiting for a free worker while 200 us\n"
+        "requests held the cores; a gap between 'worker_queue' and\n"
+        "'service' is head-of-line blocking behind a long request that\n"
+        "was already queued on the same worker."
     )
 
 

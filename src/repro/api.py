@@ -162,16 +162,17 @@ def _default_rack(sim: Simulator, streams: RandomStreams, n_cores: int):
     return build_rack(sim, streams, config)
 
 
-def _default_datacenter_config(n_cores: int):
-    """Fabric shape behind the one-server API: ``n_cores`` total cores
-    split over 2 racks x 2 Altocumulus servers (one rack of one server
-    when the count doesn't divide), with power-of-two steering inside
-    each rack and shortest-expected-wait steering across racks."""
+def _default_datacenter(sim: Simulator, streams: RandomStreams, n_cores: int):
+    """The fabric tier behind the one-server API: ``n_cores`` total
+    cores split over 2 racks x 2 Altocumulus servers (one rack of one
+    server when the count doesn't divide), with power-of-two steering
+    inside each rack and shortest-expected-wait steering across racks.
+    Full control over fabric shape lives in :mod:`repro.datacenter`."""
     from repro.cluster.topology import RackConfig
-    from repro.datacenter.topology import DatacenterConfig
+    from repro.datacenter.topology import DatacenterConfig, build_topology
 
     n_racks, n_servers = (2, 2) if n_cores % 4 == 0 and n_cores >= 8 else (1, 1)
-    return DatacenterConfig(
+    config = DatacenterConfig(
         n_racks=n_racks,
         rack=RackConfig(
             n_servers=n_servers,
@@ -182,14 +183,7 @@ def _default_datacenter_config(n_cores: int):
         ),
         policy="shortest_wait",
     )
-
-
-def _default_datacenter(sim: Simulator, streams: RandomStreams, n_cores: int):
-    """The fabric tier behind the one-server API; full control over
-    fabric shape lives in :mod:`repro.datacenter`."""
-    from repro.datacenter.topology import build_topology
-
-    return build_topology(sim, streams, _default_datacenter_config(n_cores))
+    return build_topology(sim, streams, config)
 
 
 def _default_ac_config(n_cores: int) -> AltocumulusConfig:
@@ -411,8 +405,6 @@ def quick_run(
     seed: int = 1,
     service: Optional[ServiceDistribution] = None,
     faults: Optional[FaultPlan] = None,
-    shards: Optional[int] = None,
-    shard_mode: str = "process",
     control: Optional[ControlConfig] = None,
     jobs: Optional[JobShape] = None,
     kvs: Optional[KvsSpec] = None,
@@ -420,44 +412,12 @@ def quick_run(
     """One-call simulation: Poisson arrivals, exponential service by
     default, 10% warmup discarded.
 
-    ``shards`` switches the datacenter tier to sharded parallel-in-time
-    execution (see :mod:`repro.datacenter.sharded`); results are
-    bit-identical to the serial run.  ``shards=1`` is the sharded
-    machinery with one shard (the overhead baseline), ``None`` (default)
-    is the plain serial engine.  ``shard_mode`` is ``"process"`` or
-    ``"inprocess"``.  ``control`` attaches an adaptive control loop; it
-    does not compose with sharded execution (a controller's global
-    actuations would break the shards' conservative-lookahead contract).
+    ``faults``, ``control``, ``jobs`` and ``kvs`` pass straight through
+    to :func:`run_workload`, which owns their composition rules.
     """
     streams = RandomStreams(seed)
-    if shards is not None:
-        if kvs is not None:
-            raise ValueError(
-                "a KvsSpec does not compose with sharded execution: the "
-                "shared store would break the shards' isolation; pass "
-                "shards=None when kvs is set"
-            )
-        if control is not None:
-            raise ValueError(
-                "controllers do not compose with sharded execution: "
-                "pass shards=None when a ControlConfig is attached"
-            )
-        if system != "datacenter":
-            raise ValueError(
-                f"shards is only supported for system='datacenter', "
-                f"got {system!r}"
-            )
-        from repro.datacenter.sharded import build_sharded_topology
-        from repro.sim.sharded import ShardedSimulator
-
-        sim = ShardedSimulator()
-        built = build_sharded_topology(
-            sim, streams, _default_datacenter_config(n_cores),
-            shards, mode=shard_mode,
-        )
-    else:
-        sim = Simulator()
-        built = build_system(system, sim, streams, n_cores)
+    sim = Simulator()
+    built = build_system(system, sim, streams, n_cores)
     return run_workload(
         built,
         sim,

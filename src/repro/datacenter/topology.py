@@ -175,7 +175,15 @@ class Datacenter(FabricBookkeeping):
             [0] * len(self.tenant_mix) if self.tenant_mix else []
         )
         self.tenant_slo_met: List[int] = list(self.tenant_completed)
-        self.spine = self._make_spine(sim, config)
+        self.spine = SpineSwitch(
+            sim,
+            n_ports=config.n_racks,
+            bandwidth_gbps=config.spine_bandwidth_gbps,
+            forward_latency_ns=config.spine_forward_latency_ns,
+            port_queue_depth=config.spine_port_queue_depth,
+            spine_links=config.spine_links,
+            on_drop=self._switch_dropped,
+        )
         self.policy: SteeringPolicy = make_policy(
             config.policy,
             n_servers=config.n_racks,
@@ -202,22 +210,6 @@ class Datacenter(FabricBookkeeping):
             rack.drop_hooks.append(self._member_dropped)
             self.metrics.attach_child(f"rack{i}", rack.metrics)
         self.policy.start()
-
-    def _make_spine(self, sim: Simulator, config: DatacenterConfig) -> SpineSwitch:
-        """Construct the spine switch.  Overridden by the sharded tier to
-        substitute a boundary spine whose dispatch exports messages to
-        remote shards; everything the base class wires against the spine
-        (drop hook, metrics, fault knobs) binds to whatever this
-        returns."""
-        return SpineSwitch(
-            sim,
-            n_ports=config.n_racks,
-            bandwidth_gbps=config.spine_bandwidth_gbps,
-            forward_latency_ns=config.spine_forward_latency_ns,
-            port_queue_depth=config.spine_port_queue_depth,
-            spine_links=config.spine_links,
-            on_drop=self._switch_dropped,
-        )
 
     # ------------------------------------------------------------------
     # Load-generator interface (duck-compatible with RpcSystem)

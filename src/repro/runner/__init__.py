@@ -42,12 +42,7 @@ from repro.runner.executor import (
     execute_spec,
 )
 from repro.runner.progress import ProgressPrinter, SweepProgress
-from repro.runner.runner import (
-    ShardedRunner,
-    SweepRunner,
-    SweepStats,
-    run_points,
-)
+from repro.runner.runner import SweepRunner, SweepStats, run_points
 from repro.runner.spec import (
     CallableRef,
     PointSpec,
@@ -66,7 +61,6 @@ __all__ = [
     "ProgressPrinter",
     "ResultCache",
     "RunnerConfig",
-    "ShardedRunner",
     "SpecError",
     "SweepCounters",
     "SweepProgress",

@@ -60,16 +60,13 @@ class RunnerConfig:
     behavior), 0 = one per CPU. ``use_cache``: consult/populate the
     content-addressed result cache. ``cache_dir``: cache root (``None``
     = :func:`repro.runner.cache.default_cache_dir`). ``progress``:
-    live progress lines on stderr. ``shards``: sharded parallel-in-time
-    execution of datacenter points (>1 stamps every eligible spec; see
-    :func:`repro.runner.runner.run_points`).
+    live progress lines on stderr.
     """
 
     jobs: int = 1
     use_cache: bool = False
     cache_dir: Optional[str] = None
     progress: bool = False
-    shards: int = 1
     counters: SweepCounters = field(default_factory=SweepCounters)
 
     @property
@@ -90,7 +87,6 @@ def configure(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[bool] = None,
-    shards: Optional[int] = None,
 ) -> RunnerConfig:
     """Update the process-wide configuration; ``None`` leaves a knob as-is."""
     if jobs is not None:
@@ -101,8 +97,6 @@ def configure(
         _CONFIG.cache_dir = cache_dir
     if progress is not None:
         _CONFIG.progress = bool(progress)
-    if shards is not None:
-        _CONFIG.shards = int(shards)
     return _CONFIG
 
 
@@ -112,14 +106,13 @@ def overrides(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[bool] = None,
-    shards: Optional[int] = None,
 ) -> Iterator[RunnerConfig]:
     """Temporarily override configuration knobs (tests, benchmarks)."""
     saved = (_CONFIG.jobs, _CONFIG.use_cache, _CONFIG.cache_dir,
-             _CONFIG.progress, _CONFIG.shards)
+             _CONFIG.progress)
     try:
         yield configure(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-                        progress=progress, shards=shards)
+                        progress=progress)
     finally:
         (_CONFIG.jobs, _CONFIG.use_cache, _CONFIG.cache_dir,
-         _CONFIG.progress, _CONFIG.shards) = saved
+         _CONFIG.progress) = saved

@@ -11,9 +11,7 @@ boundary -- experiments that need per-request statistics attach a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
-
-from typing import Union
+from typing import Any, Dict, Optional, Union
 
 from repro.analysis.metrics import LatencySummary
 from repro.api import run_workload
@@ -78,74 +76,23 @@ def execute_spec(
     return execute_point(spec)
 
 
-def _build_point(spec: PointSpec):
-    """Build the spec's system: serial, or sharded parallel-in-time.
-
-    The serial build is the historical one: fresh simulator, seeded
-    streams, ``builder(sim, streams)``.  With ``spec.shards > 1`` that
-    very build serves as a *probe*: if it produced a
-    :class:`~repro.datacenter.topology.Datacenter`, the system is
-    rebuilt from its config behind a window coordinator
-    (:mod:`repro.datacenter.sharded`, bit-identical results); anything
-    else cannot be partitioned at the spine, and the probe -- already
-    the exact serial build -- is used as-is, so a globally stamped
-    ``--shards`` never breaks a mixed sweep.
-    """
-    request_factory = None
-    sim = Simulator()
-    streams = RandomStreams(spec.seed)
-    built = spec.builder.resolve()(sim, streams)
-    if isinstance(built, tuple):  # wired builder: (system, request_factory)
-        system, request_factory = built
-    else:
-        system = built
-    if spec.shards > 1 and request_factory is None:
-        from repro.datacenter.topology import Datacenter
-
-        if isinstance(system, Datacenter):
-            from repro.datacenter.sharded import build_sharded_topology
-            from repro.sim.sharded import ShardedSimulator
-
-            sim = ShardedSimulator()
-            streams = RandomStreams(spec.seed)
-            # A shard cannot hold less than one rack; a globally
-            # stamped shard count is clamped, not an error.
-            system = build_sharded_topology(
-                sim, streams, system.config,
-                min(spec.shards, system.config.n_racks),
-            )
-    return system, sim, streams, request_factory
-
-
 def execute_point(spec: PointSpec) -> PointResult:
     """Run one sweep point from scratch, deterministically.
 
     A fresh :class:`Simulator` and :class:`RandomStreams` seeded from
     the spec make the result independent of which process (or how many
     sibling points) executed it -- parallel sweeps are bit-identical to
-    serial ones.  ``spec.shards > 1`` swaps in the sharded datacenter
-    execution mode, which is likewise bit-identical by construction.
+    serial ones.  Composition rules (``kvs`` with a request factory,
+    controllers, jobs) are enforced once, by :func:`run_workload`.
     """
-    if spec.control is not None and spec.shards > 1:
-        raise ValueError(
-            "controllers do not compose with sharded execution: "
-            f"spec has control={spec.control.controller!r} and "
-            f"shards={spec.shards}; set shards=1 to attach a controller"
-        )
-    if spec.kvs is not None and spec.shards > 1:
-        raise ValueError(
-            "a KvsSpec does not compose with sharded execution: the "
-            f"shared store would break shard isolation; spec has "
-            f"shards={spec.shards}; set shards=1 to attach a data layer"
-        )
-    if spec.kvs is not None and spec.request_factory is not None:
-        raise ValueError("pass either kvs= or request_factory=, not both")
-    system, sim, streams, request_factory = _build_point(spec)
-    if spec.kvs is not None and request_factory is not None:
-        raise ValueError(
-            "pass either kvs= or a wired builder returning its own "
-            "request_factory, not both"
-        )
+    sim = Simulator()
+    streams = RandomStreams(spec.seed)
+    built = spec.builder.resolve()(sim, streams)
+    request_factory = None
+    if isinstance(built, tuple):  # wired builder: (system, request_factory)
+        system, request_factory = built
+    else:
+        system = built
     if spec.request_factory is not None:
         request_factory = spec.request_factory.resolve()()
     connections = (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.runner.cache import ResultCache
@@ -180,33 +180,6 @@ class SweepRunner:
         )
 
 
-class ShardedRunner(SweepRunner):
-    """A :class:`SweepRunner` whose points execute sharded.
-
-    Stamps ``shards`` onto every :class:`PointSpec` that didn't choose
-    its own count, then runs exactly like its parent -- so sweep-level
-    ``jobs`` parallelism composes with intra-run shard parallelism
-    (each worker process drives its point's shard workers), and the
-    caching/ordering/progress machinery is reused unchanged.
-    """
-
-    def __init__(self, shards: int, **kwargs: object) -> None:
-        super().__init__(**kwargs)  # type: ignore[arg-type]
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1 (got {shards})")
-        self.shards = shards
-
-    def run(self, specs: Sequence[SpecT]) -> List[ResultT]:
-        if self.shards > 1:
-            specs = [
-                replace(spec, shards=self.shards)
-                if isinstance(spec, PointSpec) and spec.shards == 1
-                else spec
-                for spec in specs
-            ]
-        return super().run(specs)
-
-
 def run_points(
     specs: Sequence[SpecT],
     label: str = "sweep",
@@ -217,20 +190,8 @@ def run_points(
     This is the experiments layer's entry point: serial and cache-less
     by default (bit-identical to the historical inline loops), parallel
     and cached when the CLI or benchmark harness configured it so.
-
-    An ambient ``shards > 1`` (the CLI's ``--shards``) is stamped onto
-    every point spec that didn't set its own shard count; datacenter
-    points then execute sharded (bit-identical results), other points
-    fall back to serial in the executor.
     """
     cfg = config if config is not None else get_config()
-    if cfg.shards > 1:
-        specs = [
-            replace(spec, shards=cfg.shards)
-            if isinstance(spec, PointSpec) and spec.shards == 1
-            else spec
-            for spec in specs
-        ]
     cache = ResultCache(cfg.cache_dir) if cfg.use_cache else None
     runner = SweepRunner(
         jobs=cfg.effective_jobs,

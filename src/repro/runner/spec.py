@@ -43,11 +43,13 @@ from repro.workload.service import ServiceDistribution
 #: salted into every cache key alongside the package version.
 #: 2: PointResult grew the ``instruments`` telemetry-registry snapshot.
 #: 3: PointSpec/SweepSpec grew the ``faults`` FaultPlan field.
-#: 4: PointSpec/SweepSpec grew the ``shards`` sharded-execution field.
+#: 4: PointSpec/SweepSpec grew a sharded-execution field.
 #: 5: PointSpec/SweepSpec grew the ``control`` ControlConfig field.
 #: 6: PointSpec/SweepSpec grew the ``jobs`` JobShape field.
 #: 7: PointSpec/SweepSpec grew the ``kvs`` KvsSpec field.
-SPEC_SCHEMA_VERSION = 7
+#: 8: PointSpec/SweepSpec dropped the sharded-execution field (the
+#:    serial engine is the only one).
+SPEC_SCHEMA_VERSION = 8
 
 
 class SpecError(TypeError):
@@ -170,17 +172,9 @@ class PointSpec:
     #: (``None`` = the fault-free fast path).  FaultPlan is a frozen
     #: dataclass of primitives, so it pickles and content-hashes cleanly.
     faults: Optional[FaultPlan] = None
-    #: Sharded parallel-in-time execution of the datacenter tier
-    #: (see :mod:`repro.datacenter.sharded`): >1 partitions the run
-    #: per-rack across worker processes.  Results are bit-identical to
-    #: ``shards=1`` (the serial engine); the field still participates in
-    #: the cache key so an identity regression can never replay a stale
-    #: cached result from the other execution mode.
-    shards: int = 1
     #: Adaptive control loop attached to the run (``None`` = no loop,
     #: the sense-only fast path).  ControlConfig is a frozen dataclass
-    #: of primitives, so it pickles and content-hashes cleanly.  Does
-    #: not compose with ``shards > 1`` (the executor rejects it).
+    #: of primitives, so it pickles and content-hashes cleanly.
     control: Optional[ControlConfig] = None
     #: Job structure over the request stream (``None`` = plain
     #: independent requests, the fast path).  A JobShape is a dataclass
@@ -193,7 +187,8 @@ class PointSpec:
     #: into every leaf of the built system (``None`` = no data layer).
     #: KvsSpec is a frozen dataclass of primitives, so it pickles and
     #: content-hashes cleanly; mutually exclusive with an explicit
-    #: ``request_factory`` and with ``shards > 1``.
+    #: ``request_factory`` (:func:`repro.api.run_workload` rejects the
+    #: pair).
     kvs: Optional[KvsSpec] = None
     #: Free-form label for progress display and result grouping; part of
     #: the identity (two differently-tagged identical runs cache apart).
@@ -233,35 +228,24 @@ class SweepSpec:
     size_bytes: int = 300
     slo_ns: Optional[float] = None
     faults: Optional[FaultPlan] = None
-    shards: int = 1
     control: Optional[ControlConfig] = None
     jobs: Optional[JobShape] = None
     kvs: Optional[KvsSpec] = None
     tag: str = ""
 
     def points(self) -> List[PointSpec]:
-        """Expand into one :class:`PointSpec` per offered rate."""
+        """Expand into one :class:`PointSpec` per offered rate.
+
+        Every other :class:`PointSpec` field is copied by name, so a new
+        spec field only needs declaring on both classes.
+        """
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(PointSpec)
+            if f.name != "rate_rps"
+        }
         return [
-            PointSpec(
-                builder=self.builder,
-                service=self.service,
-                rate_rps=float(rate),
-                n_requests=self.n_requests,
-                seed=self.seed,
-                arrivals=self.arrivals,
-                connections=self.connections,
-                request_factory=self.request_factory,
-                metrics=self.metrics,
-                warmup_fraction=self.warmup_fraction,
-                size_bytes=self.size_bytes,
-                slo_ns=self.slo_ns,
-                faults=self.faults,
-                shards=self.shards,
-                control=self.control,
-                jobs=self.jobs,
-                kvs=self.kvs,
-                tag=self.tag,
-            )
+            PointSpec(rate_rps=float(rate), **shared)
             for rate in self.rates_rps
         ]
 
