@@ -64,9 +64,10 @@ datacenter-fast:
 ## Reduced-scale adaptive control-plane study (the fig_adaptive
 ## experiment): every static steering policy vs the hysteresis and
 ## bandit controllers across three chaos scenarios and a drifting
-## multi-tenant load.  Controllers force serial uncached execution.
+## multi-tenant load.  Each point carries its own ControlConfig, so the
+## sweep fans out over every CPU with cached points.
 adaptive-fast:
-	$(PYTHON) -m repro.experiments.cli adaptive --scale 0.2 --jobs 1 --no-cache --out results/
+	$(PYTHON) -m repro.experiments.cli adaptive --scale 0.2 --jobs 0 --out results/
 
 ## Reduced-scale job-model study (the fig_fanout experiment):
 ## scatter-gather p99 vs fan-out k across sibling-routing policies,

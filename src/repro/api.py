@@ -22,8 +22,8 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.slo import violation_ratio
 from repro.core.config import AltocumulusConfig
-from repro.control import ControlConfig, ControlLoop, active_control_config
-from repro.faults import FaultInjector, FaultPlan, RetryClient, active_fault_plan
+from repro.control import ControlConfig, ControlLoop
+from repro.faults import FaultInjector, FaultPlan, RetryClient
 from repro.core.scheduler import AltocumulusSystem
 from repro.hw.constants import DEFAULT_CONSTANTS
 from repro.hw.nic import PcieDelivery
@@ -247,8 +247,7 @@ def run_workload(
     to the flat ``Request`` path bit-identically: no ``"jobs"`` stream
     draw, no tracker, nothing.
 
-    With a :class:`~repro.faults.FaultPlan` (passed explicitly, or
-    ambient via :func:`repro.faults.use_fault_plan`), a
+    With a :class:`~repro.faults.FaultPlan`, a
     :class:`~repro.faults.FaultInjector` drives the plan into the system
     and a :class:`~repro.faults.RetryClient` sits between the generator
     and the system: it owns delivery (timeouts, capped-backoff retries,
@@ -256,8 +255,7 @@ def run_workload(
     cost several attempts.  Without a plan this function is byte-for-byte
     the fault-free fast path.
 
-    With a :class:`~repro.control.ControlConfig` (passed explicitly, or
-    ambient via :func:`repro.control.use_controller`), a
+    With a :class:`~repro.control.ControlConfig`, a
     :class:`~repro.control.ControlLoop` senses the system's telemetry
     every control epoch and lets the configured controller actuate
     steering, threshold, drain, and capacity knobs mid-run.
@@ -269,25 +267,23 @@ def run_workload(
             )
         workload = wire_kvs(system, sim, kvs, seed=streams.master_seed)
         request_factory = workload.request_factory
-    plan = faults if faults is not None else active_fault_plan()
     injector: Optional[FaultInjector] = None
     client: Optional[RetryClient] = None
-    if plan is not None:
-        injector = FaultInjector(sim, streams, plan, system)
+    if faults is not None:
+        injector = FaultInjector(sim, streams, faults, system)
         client = RetryClient(
             sim,
             streams,
             system,
-            plan.retry,
+            faults.retry,
             ingress=injector.ingress,
             response_delivered=injector.response_delivered,
         )
-    control_cfg = control if control is not None else active_control_config()
     loop: Optional[ControlLoop] = None
-    if control_cfg is not None:
+    if control is not None:
         # Built after the injector so the loop senses the fault
         # instruments, before the generator so epoch 0 starts at t=0.
-        loop = ControlLoop(sim, streams, control_cfg, system)
+        loop = ControlLoop(sim, streams, control, system)
     sink = client.send if client is not None else system.offer
     tracker: Optional[JobTracker] = None
     if jobs is not None and not jobs.is_trivial:

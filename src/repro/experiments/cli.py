@@ -124,15 +124,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--faults", default=None, metavar="PATH",
         help="inject a FaultPlan (JSON, see docs/faults.md) into every "
-             "run of the experiment; implies --jobs 1 and --no-cache so "
-             "the ambient plan reaches each in-process run",
+             "sweep point of the experiment that carries no plan of its "
+             "own; the plan is part of each point's cache key",
     )
     parser.add_argument(
         "--controller", default=None, metavar="NAME",
-        help="attach an adaptive control loop to every run of the "
-             "experiment (static | hysteresis | bandit, see "
-             "docs/architecture.md); implies --jobs 1 and --no-cache so "
-             "the ambient controller reaches each in-process run",
+        help="attach an adaptive control loop to every sweep point of "
+             "the experiment that carries no control config of its own "
+             "(static | hysteresis | bandit, see docs/architecture.md)",
     )
     parser.add_argument(
         "--control-epoch-ns", type=float, default=None, metavar="NS",
@@ -142,8 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print the 25 hottest functions by "
-             "cumulative time after each experiment (implies --jobs 1 so "
-             "the profiled work stays in-process)",
+             "cumulative time after each experiment; implies --jobs 1 "
+             "and --no-cache so the profiled work is the simulation",
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiment ids and exit"
@@ -220,21 +219,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: --faults {args.faults}: {exc}", file=sys.stderr)
             return 2
 
-    capturing = (
-        args.trace is not None
-        or args.metrics_out is not None
-        or fault_plan is not None
-        or control_cfg is not None
-    )
-    if capturing:
-        # Worker processes have their own (inactive) capture/fault-plan/
-        # controller globals and cached points replay without executing,
-        # so telemetry capture, ambient fault plans, and ambient
-        # controllers all require fresh in-process execution.
-        if args.jobs not in (0, 1):
-            print("[--trace/--metrics-out/--faults/--controller force "
-                  "--jobs 1]",
-                  file=sys.stderr)
+    # Telemetry capture and the profiler only observe work executed in
+    # this process: worker processes have their own (inactive) capture
+    # globals and cached points replay without executing.
+    in_process = [
+        flag for flag, given in (
+            ("--trace", args.trace is not None),
+            ("--metrics-out", args.metrics_out is not None),
+            ("--profile", args.profile),
+        ) if given
+    ]
+    if in_process:
+        if args.jobs != 1 or not args.no_cache:
+            print(f"[{'/'.join(in_process)}: running with --jobs 1 "
+                  "--no-cache]", file=sys.stderr)
         args.jobs = 1
         args.no_cache = True
     if args.trace is not None and args.trace_sample < 1:
@@ -242,33 +240,19 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    from contextlib import nullcontext
-
     from repro.telemetry import TraceSink, capture
 
     sink = TraceSink(sample_every=args.trace_sample) if args.trace else None
 
-    if fault_plan is not None:
-        from repro.faults import use_fault_plan
-
-        plan_context = use_fault_plan(fault_plan)
-    else:
-        plan_context = nullcontext()
-
-    if control_cfg is not None:
-        from repro.control import use_controller
-
-        control_context = use_controller(control_cfg)
-    else:
-        control_context = nullcontext()
-
-    with plan_context, control_context, capture(
+    with capture(
         trace=sink, collect_metrics=args.metrics_out is not None
     ) as cap, overrides(
-        jobs=1 if (args.profile or capturing) else args.jobs,
+        jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         progress=not args.no_progress,
+        faults=fault_plan,
+        control=control_cfg,
     ):
         counters = get_config().counters
         for exp_id in ids:

@@ -21,7 +21,7 @@ non-stationary drifting-MMPP multi-tenant load on the datacenter tier.
 The chaos scenarios report during-window p99; the drift scenario
 reports whole-run p99 and SLO violation ratio.
 
-The punchline the adaptive-smoke CI gate pins: on the lossy-NIC
+The punchline ``tests/test_adaptive_gate.py`` pins: on the lossy-NIC
 scenario the hysteresis controller's during-window p99 is no worse than
 the best static policy's, because draining a degraded-but-reachable
 server beats merely biasing load away from it.

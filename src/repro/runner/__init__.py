@@ -2,7 +2,7 @@
 
 Every evaluation artifact in this repository is an embarrassingly
 parallel sweep -- offered rates x seeds x system variants.  This package
-turns those sweeps into data (:class:`PointSpec` / :class:`SweepSpec`),
+turns those sweeps into data (:class:`PointSpec` / :class:`TaskSpec`),
 fans them out over a process pool (:class:`SweepRunner`), and memoizes
 each point on disk under a stable content hash (:class:`ResultCache`),
 so re-runs are instant, crashes resume, and ``--jobs N`` scales the
@@ -21,9 +21,10 @@ Typical use (the experiments layer)::
     ]
     results = run_points(specs, label="fig13")   # obeys --jobs/--cache-dir
 
-Entry points (CLI, benchmarks) opt into parallelism and caching through
-:func:`configure` / :func:`overrides`; library callers can also drive a
-:class:`SweepRunner` directly.
+Entry points (CLI, benchmarks) opt into parallelism, caching and a
+default fault plan / control config through :func:`configure` /
+:func:`overrides`; library callers can also drive a :class:`SweepRunner`
+directly.
 """
 
 from repro.runner.cache import ResultCache, default_cache_dir
@@ -47,7 +48,6 @@ from repro.runner.spec import (
     CallableRef,
     PointSpec,
     SpecError,
-    SweepSpec,
     TaskSpec,
     fingerprint,
     maybe_ref,
@@ -65,7 +65,6 @@ __all__ = [
     "SweepCounters",
     "SweepProgress",
     "SweepRunner",
-    "SweepSpec",
     "SweepStats",
     "TaskResult",
     "TaskSpec",

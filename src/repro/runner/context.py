@@ -9,6 +9,9 @@ the CLI and the benchmark harness configure this module, and
 Defaults are deliberately conservative -- serial, no cache -- so that
 importing the runner changes nothing for existing callers; only the
 entry points that received explicit ``--jobs`` / cache flags opt in.
+The CLI's ``--faults`` / ``--controller`` travel the same way, as
+default ``faults`` / ``control`` for every point that does not carry
+its own.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import contextlib
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
+
+from repro.control.config import ControlConfig
+from repro.faults.plan import FaultPlan
 
 
 def detect_jobs() -> int:
@@ -60,13 +66,18 @@ class RunnerConfig:
     behavior), 0 = one per CPU. ``use_cache``: consult/populate the
     content-addressed result cache. ``cache_dir``: cache root (``None``
     = :func:`repro.runner.cache.default_cache_dir`). ``progress``:
-    live progress lines on stderr.
+    live progress lines on stderr. ``faults`` / ``control``: the fault
+    plan / control config :func:`~repro.runner.runner.run_points` fills
+    into every :class:`~repro.runner.spec.PointSpec` whose own field is
+    ``None`` (before fingerprinting, so the cache key includes it).
     """
 
     jobs: int = 1
     use_cache: bool = False
     cache_dir: Optional[str] = None
     progress: bool = False
+    faults: Optional[FaultPlan] = None
+    control: Optional[ControlConfig] = None
     counters: SweepCounters = field(default_factory=SweepCounters)
 
     @property
@@ -87,6 +98,8 @@ def configure(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[bool] = None,
+    faults: Optional[FaultPlan] = None,
+    control: Optional[ControlConfig] = None,
 ) -> RunnerConfig:
     """Update the process-wide configuration; ``None`` leaves a knob as-is."""
     if jobs is not None:
@@ -97,6 +110,10 @@ def configure(
         _CONFIG.cache_dir = cache_dir
     if progress is not None:
         _CONFIG.progress = bool(progress)
+    if faults is not None:
+        _CONFIG.faults = faults
+    if control is not None:
+        _CONFIG.control = control
     return _CONFIG
 
 
@@ -106,13 +123,15 @@ def overrides(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[bool] = None,
+    faults: Optional[FaultPlan] = None,
+    control: Optional[ControlConfig] = None,
 ) -> Iterator[RunnerConfig]:
-    """Temporarily override configuration knobs (tests, benchmarks)."""
-    saved = (_CONFIG.jobs, _CONFIG.use_cache, _CONFIG.cache_dir,
-             _CONFIG.progress)
+    """Temporarily override configuration knobs (CLI, tests, benchmarks)."""
+    saved = replace(_CONFIG)
     try:
         yield configure(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-                        progress=progress)
+                        progress=progress, faults=faults, control=control)
     finally:
-        (_CONFIG.jobs, _CONFIG.use_cache, _CONFIG.cache_dir,
-         _CONFIG.progress) = saved
+        for name in ("jobs", "use_cache", "cache_dir", "progress", "faults",
+                     "control"):
+            setattr(_CONFIG, name, getattr(saved, name))

@@ -93,8 +93,6 @@ def execute_point(spec: PointSpec) -> PointResult:
         system, request_factory = built
     else:
         system = built
-    if spec.request_factory is not None:
-        request_factory = spec.request_factory.resolve()()
     connections = (
         spec.connections.resolve()() if spec.connections is not None else None
     )

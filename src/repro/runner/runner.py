@@ -8,16 +8,16 @@ results without caring about completion order.
 
 :func:`run_points` is the convenience entry the experiments layer uses:
 it reads the process-wide :mod:`repro.runner.context` configuration
-(wired from ``altocumulus-exp --jobs/--cache-dir/--no-cache`` and the
-benchmark harness's environment knobs) so experiment ``run(scale,
-seed)`` signatures stay unchanged.
+(wired from ``altocumulus-exp --jobs/--cache-dir/--no-cache/--faults/
+--controller`` and the benchmark harness's environment knobs) so
+experiment ``run(scale, seed)`` signatures stay unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.runner.cache import ResultCache
@@ -190,8 +190,12 @@ def run_points(
     This is the experiments layer's entry point: serial and cache-less
     by default (bit-identical to the historical inline loops), parallel
     and cached when the CLI or benchmark harness configured it so.
+    The configured ``faults`` / ``control`` fill every
+    :class:`PointSpec` whose own field is ``None`` before the cache key
+    is taken; :class:`TaskSpec`\\ s pass through unchanged.
     """
     cfg = config if config is not None else get_config()
+    specs = [_with_defaults(spec, cfg) for spec in specs]
     cache = ResultCache(cfg.cache_dir) if cfg.use_cache else None
     runner = SweepRunner(
         jobs=cfg.effective_jobs,
@@ -206,3 +210,16 @@ def run_points(
         elapsed_s=runner.last_stats.elapsed_s,
     )
     return results
+
+
+def _with_defaults(spec: SpecT, cfg: RunnerConfig) -> SpecT:
+    """``spec`` with the configured fault plan / control config filled
+    into whichever of its ``faults`` / ``control`` is ``None``."""
+    if not isinstance(spec, PointSpec):
+        return spec
+    fill = {}
+    if spec.faults is None and cfg.faults is not None:
+        fill["faults"] = cfg.faults
+    if spec.control is None and cfg.control is not None:
+        fill["control"] = cfg.control
+    return replace(spec, **fill) if fill else spec

@@ -10,7 +10,6 @@ data layer that replaces them:
   keyword arguments, picklable and stably hashable.
 * :class:`PointSpec` -- one unit of simulation work (builder + workload
   configuration + rate + seed + request count) as plain data.
-* :class:`SweepSpec` -- a rate sweep sharing one configuration.
 * :func:`fingerprint` -- a stable content hash of any spec, used as the
   key of the on-disk result cache.
 
@@ -29,7 +28,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -42,14 +41,17 @@ from repro.workload.service import ServiceDistribution
 #: Bump when the execution or result layout changes incompatibly;
 #: salted into every cache key alongside the package version.
 #: 2: PointResult grew the ``instruments`` telemetry-registry snapshot.
-#: 3: PointSpec/SweepSpec grew the ``faults`` FaultPlan field.
-#: 4: PointSpec/SweepSpec grew a sharded-execution field.
-#: 5: PointSpec/SweepSpec grew the ``control`` ControlConfig field.
-#: 6: PointSpec/SweepSpec grew the ``jobs`` JobShape field.
-#: 7: PointSpec/SweepSpec grew the ``kvs`` KvsSpec field.
-#: 8: PointSpec/SweepSpec dropped the sharded-execution field (the
+#: 3: PointSpec grew the ``faults`` FaultPlan field.
+#: 4: PointSpec grew a sharded-execution field.
+#: 5: PointSpec grew the ``control`` ControlConfig field.
+#: 6: PointSpec grew the ``jobs`` JobShape field.
+#: 7: PointSpec grew the ``kvs`` KvsSpec field.
+#: 8: PointSpec dropped the sharded-execution field (the
 #:    serial engine is the only one).
-SPEC_SCHEMA_VERSION = 8
+#: 9: PointSpec dropped ``request_factory`` (wired builders return
+#:    ``(system, request_factory)`` instead); the rate-sweep spec type
+#:    was removed.
+SPEC_SCHEMA_VERSION = 9
 
 
 class SpecError(TypeError):
@@ -95,8 +97,8 @@ def ref(fn: Union[Callable[..., Any], CallableRef], **kwargs: Any) -> CallableRe
     ``fn`` must be reachable as ``module.qualname`` -- a module-level
     function, a ``functools.partial`` of one (keyword arguments only),
     a static/class method, or an existing :class:`CallableRef`.
-    Lambdas and closures are rejected with :class:`SpecError`; the
-    caller is expected to fall back to in-process execution.
+    Lambdas and closures are rejected with :class:`SpecError`: move
+    them to module level.
     """
     if isinstance(fn, CallableRef):
         return CallableRef(fn.target, {**fn.kwargs, **kwargs})
@@ -163,7 +165,6 @@ class PointSpec:
     seed: int = 1
     arrivals: Optional[CallableRef] = None
     connections: Optional[CallableRef] = None
-    request_factory: Optional[CallableRef] = None
     metrics: Optional[CallableRef] = None
     warmup_fraction: float = 0.1
     size_bytes: int = 300
@@ -186,7 +187,7 @@ class PointSpec:
     #: KVS-backed workload: a MICA store + ownership discipline wired
     #: into every leaf of the built system (``None`` = no data layer).
     #: KvsSpec is a frozen dataclass of primitives, so it pickles and
-    #: content-hashes cleanly; mutually exclusive with an explicit
+    #: content-hashes cleanly; mutually exclusive with a wired builder's
     #: ``request_factory`` (:func:`repro.api.run_workload` rejects the
     #: pair).
     kvs: Optional[KvsSpec] = None
@@ -209,45 +210,6 @@ class TaskSpec:
 
     fn: CallableRef
     tag: str = ""
-
-
-@dataclass
-class SweepSpec:
-    """A latency-throughput sweep: one configuration, many offered rates."""
-
-    builder: CallableRef
-    service: Union[ServiceDistribution, CallableRef]
-    rates_rps: Sequence[float]
-    n_requests: int
-    seed: int = 1
-    arrivals: Optional[CallableRef] = None
-    connections: Optional[CallableRef] = None
-    request_factory: Optional[CallableRef] = None
-    metrics: Optional[CallableRef] = None
-    warmup_fraction: float = 0.1
-    size_bytes: int = 300
-    slo_ns: Optional[float] = None
-    faults: Optional[FaultPlan] = None
-    control: Optional[ControlConfig] = None
-    jobs: Optional[JobShape] = None
-    kvs: Optional[KvsSpec] = None
-    tag: str = ""
-
-    def points(self) -> List[PointSpec]:
-        """Expand into one :class:`PointSpec` per offered rate.
-
-        Every other :class:`PointSpec` field is copied by name, so a new
-        spec field only needs declaring on both classes.
-        """
-        shared = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(PointSpec)
-            if f.name != "rate_rps"
-        }
-        return [
-            PointSpec(rate_rps=float(rate), **shared)
-            for rate in self.rates_rps
-        ]
 
 
 # ----------------------------------------------------------------------

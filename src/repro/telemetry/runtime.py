@@ -12,8 +12,9 @@ shared :data:`~repro.telemetry.trace.NULL_SINK` and :func:`record_run`
 is a cheap no-op -- the disabled path allocates nothing.
 
 Captures only see runs executed in-process: the parallel sweep runner's
-worker processes have their own (inactive) globals, which is why the CLI
-forces ``--jobs 1`` when ``--trace``/``--metrics-out`` is requested.
+worker processes have their own (inactive) globals and cached points
+never execute, which is why the CLI forces ``--jobs 1 --no-cache`` when
+``--trace``/``--metrics-out`` is requested.
 """
 
 from __future__ import annotations

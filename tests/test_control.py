@@ -3,8 +3,8 @@
 Covers the config/registry surface, the runtime-mutable knobs the
 controllers actuate (steering staleness/width/cadence, health penalty,
 worker counts), the admin-drain overlay, policy swaps with bound
-instruments, worker reassignment, and the composition rules (ambient
-config, CLI validation, determinism).
+instruments, worker reassignment, and the composition rules (runner-
+configured default, CLI validation, determinism).
 """
 
 import dataclasses
@@ -20,9 +20,7 @@ from repro.control import (
     ControlConfig,
     HysteresisController,
     StaticController,
-    active_control_config,
     make_controller,
-    use_controller,
 )
 from repro.control.actuators import MIN_SAMPLE_PERIOD_NS, Actuators
 from repro.core.config import AltocumulusConfig
@@ -377,14 +375,26 @@ class TestControlLoopEndToEnd:
         ]
 
     def test_ambient_use_controller(self):
+        # The CLI's --controller surface: the runner fills the configured
+        # control config into every point that carries none.
+        from repro.runner import (
+            PointSpec,
+            get_config,
+            overrides,
+            ref,
+            run_points,
+        )
+
         cfg = ControlConfig(controller="static")
-        assert active_control_config() is None
-        with use_controller(cfg):
-            assert active_control_config() is cfg
-            result = quick_run(system="rack", n_cores=16, rate_rps=8e6,
-                               n_requests=500, seed=2)
-            assert result.metrics["control.epochs"] > 0
-        assert active_control_config() is None
+        spec = PointSpec(builder=ref(_rack), service=Exponential(1000.0),
+                         rate_rps=8e6, n_requests=500, seed=2)
+        assert get_config().control is None
+        with overrides(control=cfg):
+            assert get_config().control is cfg
+            (result,) = run_points([spec])
+            assert result.instruments["control.epochs"] > 0
+        assert get_config().control is None
+        assert spec.control is None
 
 
 class TestCliValidation:

@@ -206,6 +206,20 @@ class TestCliTelemetry:
         ]) == 0
         assert "--jobs 1" in capsys.readouterr().err
 
+    def test_profile_never_replays_the_cache(self, tmp_path, capsys):
+        # --profile must profile the simulation, not cache loads: the
+        # second run with the same cache executes every point again.
+        from repro.experiments.cli import main
+
+        argv = ["quickstart", "--scale", "0.01", "--profile",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "0 cached, 1 executed" in captured.out
+        assert "[--profile: running with --jobs 1 --no-cache]" in captured.err
+
     def test_bad_trace_sample_rejected(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
@@ -214,6 +228,43 @@ class TestCliTelemetry:
             "--trace-sample", "0",
         ]) == 2
         assert "--trace-sample" in capsys.readouterr().err
+
+
+class TestCliFaults:
+    """``--faults`` rides in each point's spec: faulted runs use the
+    worker pool and the cache like any other run."""
+
+    def _quickstart(self, tmp_path, name, *extra):
+        from repro.experiments.cli import main
+
+        out = tmp_path / name
+        code = main(["quickstart", "--scale", "0.01", "--no-progress",
+                     "--out", str(out), *extra])
+        return code, (out / "quickstart.txt").read_text()
+
+    def test_faulted_runs_parallelize_and_cache(self, tmp_path, capsys):
+        from repro.faults import FaultEvent, FaultPlan
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(FaultPlan(events=(
+            FaultEvent(time_ns=20_000.0, kind="nic_drop", target=0,
+                       magnitude=0.5, duration_ns=40_000.0),
+        )).to_json())
+        pooled = ["--faults", str(plan), "--jobs", "2",
+                  "--cache-dir", str(tmp_path / "cache")]
+
+        code, first = self._quickstart(tmp_path, "a", *pooled)
+        assert code == 0
+        assert "--jobs 1" not in capsys.readouterr().err
+        code, replayed = self._quickstart(tmp_path, "b", *pooled)
+        assert code == 0
+        assert "1 cached, 0 executed" in capsys.readouterr().out
+        code, serial = self._quickstart(tmp_path, "c", "--faults", str(plan),
+                                        "--jobs", "1", "--no-cache")
+        assert code == 0
+        _, clean = self._quickstart(tmp_path, "d", "--no-cache")
+        assert first == replayed == serial
+        assert first != clean
 
 
 class TestJsonOutput:

@@ -7,10 +7,9 @@ from repro.experiments.common import (
     gentle_bursts,
     latency_throughput_curve,
     real_world_arrivals,
-    run_once,
 )
+from repro.runner import PointSpec, execute_point, ref
 from repro.schedulers.jbsq import ideal_cfcfs
-from repro.workload.arrivals import PoissonArrivals
 from repro.workload.connections import ConnectionPool
 from repro.workload.request import RequestKind
 from repro.workload.service import Fixed
@@ -20,26 +19,44 @@ def builder(sim, streams):
     return ideal_cfcfs(sim, streams, 4)
 
 
+def _make_get(request):
+    request.kind = RequestKind.GET
+
+
+def _wired_builder(sim, streams):
+    return builder(sim, streams), _make_get
+
+
+def _three_connections():
+    return ConnectionPool(3)
+
+
+def _kinds_and_connections(result):
+    return {
+        "all_get": all(r.kind is RequestKind.GET for r in result.requests),
+        "connections": {r.connection for r in result.requests},
+    }
+
+
 class TestRunOnce:
+    """One sweep point executed in-process by the runner's executor."""
+
     def test_fresh_simulator_per_call(self):
-        a = run_once(builder, PoissonArrivals(1e6), Fixed(500.0),
-                     n_requests=500, seed=1)
-        b = run_once(builder, PoissonArrivals(1e6), Fixed(500.0),
-                     n_requests=500, seed=1)
+        spec = PointSpec(builder=ref(builder), service=Fixed(500.0),
+                         rate_rps=1e6, n_requests=500, seed=1)
+        a = execute_point(spec)
+        b = execute_point(spec)
         assert a.latency.p99 == b.latency.p99  # no state leaked
 
     def test_request_factory_and_connections_plumbed(self):
-        def factory(request):
-            request.kind = RequestKind.GET
-
-        result = run_once(
-            builder, PoissonArrivals(1e6), Fixed(500.0),
-            n_requests=200, seed=1,
-            connections=ConnectionPool(3),
-            request_factory=factory,
-        )
-        assert all(r.kind is RequestKind.GET for r in result.requests)
-        assert {r.connection for r in result.requests} <= {0, 1, 2}
+        result = execute_point(PointSpec(
+            builder=ref(_wired_builder), service=Fixed(500.0),
+            rate_rps=1e6, n_requests=200, seed=1,
+            connections=ref(_three_connections),
+            metrics=ref(_kinds_and_connections),
+        ))
+        assert result.metrics["all_get"]
+        assert result.metrics["connections"] <= {0, 1, 2}
 
 
 class TestCurve:
@@ -63,9 +80,18 @@ class TestCurve:
         points = latency_throughput_curve(
             builder, [1e6], Fixed(500.0), n_requests=400,
             slo_ns=10_000.0,
-            arrival_factory=lambda r: gentle_bursts(r),
+            arrival_factory=gentle_bursts,
         )
         assert len(points) == 1
+
+    def test_closure_builder_raises_spec_error(self):
+        from repro.runner import SpecError
+
+        with pytest.raises(SpecError):
+            latency_throughput_curve(
+                lambda sim, streams: builder(sim, streams), [1e6],
+                Fixed(500.0), n_requests=400, slo_ns=10_000.0,
+            )
 
 
 class TestArrivalProfiles:

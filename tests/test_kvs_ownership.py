@@ -267,10 +267,6 @@ def _noop_factory(request):
     """A request factory that leaves the request untouched."""
 
 
-def _make_noop_factory():
-    return _noop_factory
-
-
 def _plain_builder(sim, streams):
     from repro.api import build_system
 
@@ -286,13 +282,12 @@ class TestKvsExcludesRequestFactory:
     """``kvs`` and a request factory cannot both shape the workload; the
     rule lives in ``run_workload`` and every entry route reaches it."""
 
-    def _spec(self, builder, **kwargs):
+    def _spec(self, builder):
         from repro.runner import PointSpec
         from repro.workload.service import Exponential
 
         return PointSpec(builder=builder, service=Exponential(1000.0),
-                         rate_rps=1e6, n_requests=100, kvs=KvsSpec(),
-                         **kwargs)
+                         rate_rps=1e6, n_requests=100, kvs=KvsSpec())
 
     def test_run_workload(self):
         from repro.api import run_workload
@@ -307,15 +302,6 @@ class TestKvsExcludesRequestFactory:
             run_workload(system, sim, streams, PoissonArrivals(1e6),
                          Exponential(1000.0), n_requests=100,
                          request_factory=_noop_factory, kvs=KvsSpec())
-
-    def test_point_spec_with_request_factory(self):
-        from repro.runner import ref
-        from repro.runner.executor import execute_point
-
-        spec = self._spec(ref(_plain_builder),
-                          request_factory=ref(_make_noop_factory))
-        with pytest.raises(ValueError, match="not both"):
-            execute_point(spec)
 
     def test_point_spec_with_wired_builder(self):
         from repro.runner import ref

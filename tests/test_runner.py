@@ -2,7 +2,6 @@
 fingerprints, the on-disk result cache, and the parallel-vs-serial
 determinism contract."""
 
-import dataclasses
 import functools
 import io
 import pickle
@@ -19,7 +18,6 @@ from repro.runner import (
     SpecError,
     SweepProgress,
     SweepRunner,
-    SweepSpec,
     TaskSpec,
     execute_point,
     fingerprint,
@@ -160,30 +158,6 @@ class TestFingerprint:
         prints = [fingerprint(v) for v in (flat, fanout, *variants)]
         assert len(set(prints)) == len(prints)
 
-    def test_sweep_spec_forwards_every_point_field(self):
-        names = [f.name for f in dataclasses.fields(PointSpec)
-                 if f.name != "rate_rps"]
-        sweep_names = {f.name for f in dataclasses.fields(SweepSpec)}
-        assert set(names) <= sweep_names
-        # A distinct sentinel per field catches a dropped or swapped copy.
-        values = {name: object() for name in names}
-        sweep = SweepSpec(rates_rps=[1e6, 2e6], **values)
-        points = sweep.points()
-        assert [p.rate_rps for p in points] == [1e6, 2e6]
-        for point in points:
-            for name in names:
-                assert getattr(point, name) is values[name], name
-
-    def test_sweep_spec_forwards_jobs_to_points(self):
-        from repro.workload.jobs import FixedDegree, JobShape
-
-        shape = JobShape(fanout=FixedDegree(2))
-        sweep = SweepSpec(
-            builder=ref(_builder, n_cores=4), service=Fixed(500.0),
-            rates_rps=[1e6, 2e6], n_requests=100, jobs=shape,
-        )
-        assert all(p.jobs is shape for p in sweep.points())
-
     def test_numpy_scalars_and_arrays_hash_stably(self):
         spec = TaskSpec(fn=ref(_answer, x=int(np.int64(4))))
         assert fingerprint(spec) == fingerprint(spec)
@@ -194,20 +168,6 @@ class TestFingerprint:
     def test_unhashable_object_raises_spec_error(self):
         with pytest.raises(SpecError, match="canonically hash"):
             fingerprint(object())
-
-    def test_sweep_spec_expands_to_matching_points(self):
-        sweep = SweepSpec(
-            builder=ref(_builder, n_cores=4),
-            service=Fixed(500.0),
-            rates_rps=[1e6, 2e6],
-            n_requests=600,
-            seed=1,
-            slo_ns=10_000.0,
-            tag="t",
-        )
-        points = sweep.points()
-        assert [p.rate_rps for p in points] == [1e6, 2e6]
-        assert fingerprint(points[0]) == fingerprint(_point(rate=1e6))
 
 
 class TestCache:
@@ -372,6 +332,71 @@ class TestConfigPlumbing:
         run_points([_point(n_requests=400)], config=cfg)
         run_points([_point(n_requests=400)], config=cfg)
         assert cfg.counters.cache_hits == 1
+
+
+def _nic_drop_plan(magnitude=0.5):
+    from repro.faults import FaultEvent, FaultPlan
+
+    return FaultPlan(events=(
+        FaultEvent(time_ns=20_000.0, kind="nic_drop", target=0,
+                   magnitude=magnitude, duration_ns=40_000.0),
+    ))
+
+
+class TestConfiguredFaultsAndControl:
+    """``run_points`` fills the configured plan / controller into every
+    ``PointSpec`` that carries none, before the cache key is taken."""
+
+    def _keys(self, cache_dir):
+        return {path.stem for path in cache_dir.rglob("*.pkl")}
+
+    def test_fill_in_respects_explicit_plans_and_skips_tasks(self, tmp_path):
+        plan, own = _nic_drop_plan(), _nic_drop_plan(magnitude=0.25)
+        bare = _point(n_requests=400)
+        explicit = _point(n_requests=400, faults=own, tag="own")
+        task = TaskSpec(fn=ref(_answer, x=5))
+        with overrides(faults=plan, use_cache=True,
+                       cache_dir=str(tmp_path)):
+            assert get_config().faults is plan
+            results = run_points([bare, explicit, task])
+        assert get_config().faults is None
+        assert bare.faults is None  # the caller's spec is not mutated
+        assert self._keys(tmp_path) == {
+            fingerprint(_point(n_requests=400, faults=plan)),
+            fingerprint(explicit),
+            fingerprint(task),
+        }
+        assert results[0].instruments["faults.events_fired"] == 2
+        assert results[2].value == 10
+
+    def test_filled_spec_never_replays_a_fault_free_result(self, tmp_path):
+        spec = _point(n_requests=400)
+        filled = _point(n_requests=400, faults=_nic_drop_plan())
+        assert fingerprint(filled) != fingerprint(spec)
+        with overrides(use_cache=True, cache_dir=str(tmp_path)):
+            clean = run_points([spec])[0]
+        with overrides(faults=_nic_drop_plan(), use_cache=True,
+                       cache_dir=str(tmp_path)):
+            faulted = run_points([spec])[0]
+        assert faulted.cache_hit is False
+        assert "faults.events_fired" not in clean.instruments
+        assert faulted.instruments["faults.nic_burst_dropped"] > 0
+
+    def test_faulted_sweep_parallel_matches_serial(self):
+        specs = [_point(rate=r, n_requests=600) for r in (1e6, 2e6)]
+
+        def faulted(jobs):
+            with overrides(jobs=jobs, faults=_nic_drop_plan()):
+                return run_points(specs)
+
+        serial, parallel = faulted(1), faulted(2)
+        for a, b in zip(serial, parallel):
+            assert a.p99_ns == b.p99_ns
+            fault_counts = {k: v for k, v in a.instruments.items()
+                            if k.startswith("faults.")}
+            assert fault_counts
+            assert fault_counts == {k: v for k, v in b.instruments.items()
+                                    if k.startswith("faults.")}
 
 
 class TestFigureDeterminism:
