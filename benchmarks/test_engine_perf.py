@@ -173,3 +173,26 @@ def test_migration_plan_rate(benchmark):
 
     migrates = benchmark(spin)
     assert migrates >= 0
+
+
+def test_manager_tick_update_path(benchmark):
+    """The manager tick with no load: each of 4 groups x 16 cores ticks
+    every Period, broadcasting an UPDATE to 3 peers and classifying a
+    balanced queue vector -- the per-tick cost every Altocumulus run
+    pays regardless of load."""
+    from repro.core.config import AltocumulusConfig
+    from repro.core.scheduler import AltocumulusSystem
+    from repro.sim.rng import RandomStreams
+
+    ticks_per_group = 12_500
+    config = AltocumulusConfig(n_groups=4, group_size=16)
+
+    def spin():
+        sim = Simulator()
+        system = AltocumulusSystem(sim, RandomStreams(1), config)
+        sim.run(until=ticks_per_group * config.period_ns)
+        system.shutdown()
+        return sum(runtime.ticks for runtime in system.runtimes)
+
+    ticks = benchmark.pedantic(spin, rounds=3, iterations=1)
+    assert ticks == 4 * ticks_per_group

@@ -108,6 +108,12 @@ def migration_plan(
         return MigrationPlan(Pattern.BALANCED, [])
     if bulk <= 0:
         raise ValueError(f"bulk must be positive, got {bulk}")
+    # HILL, VALLEY and PAIRING each need two entries more than ``bulk``
+    # apart, so a spread within ``bulk`` is BALANCED; below the threshold
+    # that means nothing to send -- the common tick, decided in O(n)
+    # without ranking the vector.
+    if q[self_index] <= threshold and max(q) - min(q) <= bulk:
+        return MigrationPlan(Pattern.BALANCED, [])
     ranked = _ranked(q)
     pattern = _classify_ranked(q, ranked, bulk)
     threshold_hit = q[self_index] > threshold

@@ -130,7 +130,6 @@ class AltocumulusSystem(RpcSystem):
                 constants=constants,
                 mr_capacity=config.mr_capacity,
                 on_migrate_in=self._make_on_migrate_in(group),
-                on_update=self._make_on_update(group),
                 migrator_ns_per_entry=(
                     constants.coherence_msg_ns if config.messaging == "sw" else 0.5
                 ),
@@ -199,6 +198,7 @@ class AltocumulusSystem(RpcSystem):
                 estimator=self.estimators[group],
             )
             self.runtimes.append(runtime)
+            self.managers[group].on_update = runtime.on_update
         #: One reusable tick event per group (the schedule_timer path).
         self._tick_events: List[Optional[Event]] = [None] * g
         if config.runtime_enabled and g > 1:
@@ -379,9 +379,7 @@ class AltocumulusSystem(RpcSystem):
             take_batch=lambda size: self._take_batch(group, size),
             restore_batch=lambda batch: self._restore_batch(group, batch),
             send_migrate=lambda dst, batch: self._send_migrate(group, dst, batch),
-            broadcast_update=lambda qlen: self.managers[group].broadcast_update(
-                qlen
-            ),
+            broadcast_update=self.managers[group].broadcast_update,
             charge=lambda ns: self._charge_manager(group, ns),
             flag_predicted=lambda count: self._flag_predicted(group, count),
         )
@@ -470,12 +468,6 @@ class AltocumulusSystem(RpcSystem):
             self._pump_group(group)
 
         return on_migrate_in
-
-    def _make_on_update(self, group: int):
-        def on_update(src: int, qlen: int) -> None:
-            self.runtimes[group].on_update(src, qlen)
-
-        return on_update
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -7,6 +7,10 @@ Message types
 * ``MIGRATE`` -- carries ``req_num`` 14 B descriptors from the source
   manager's MR tail to the destination's MR tail.
 * ``UPDATE`` -- broadcasts the local queue length to all other managers.
+  It is the one message sent every ``Period`` by every manager, so it
+  rides :meth:`~repro.hw.noc.Noc.fanout` without a :class:`NocMessage`
+  or payload: the NoC charges it exactly like a sent message and calls
+  the peer's receive path with ``(src_manager, queue_len)`` directly.
 * ``ACK``/``NACK`` -- migration accepted (source forgets the
   descriptors) or rejected because the destination's receive FIFO / MR
   file is full (source restores them; the migration is *not* replayed,
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
@@ -70,7 +74,6 @@ class _Payload:
     src_manager: int
     dst_manager: int
     requests: List[Request] = field(default_factory=list)
-    queue_len: int = 0
     migrate_id: int = 0
 
 
@@ -164,7 +167,8 @@ class ManagerTileHw:
             for suffix in _TILE_COUNTERS
         ]
         self._peers: Dict[int, "ManagerTileHw"] = {}
-        self._others: List["ManagerTileHw"] = []
+        #: UPDATE fan-out routes ``(dst tile, hop ns, receive callback)``.
+        self._update_routes: List[Tuple[int, float, Callable[[int, int], None]]] = []
         self._pending_acks: Dict[int, List[Request]] = {}
         self._next_migrate_id = 0
         #: Migrate ids forgotten by a crash-restart (:meth:`fail`):
@@ -182,10 +186,14 @@ class ManagerTileHw:
     def connect(self, peers: List["ManagerTileHw"]) -> None:
         """Register every manager tile (including self) for routing."""
         self._peers = {p.manager_index: p for p in peers}
-        # UPDATE fan-out targets, precomputed: broadcast_update runs once
-        # per manager per tick, so rebuilding this list there was pure
-        # per-tick overhead.
-        self._others = [p for p in peers if p is not self]
+        # UPDATE fan-out routes, precomputed: broadcast_update runs once
+        # per manager per tick, and the mesh geometry never changes.
+        self._update_routes = [
+            (p.tile_id, self.noc.hop_ns(self.tile_id, p.tile_id),
+             p._receive_update)
+            for p in peers
+            if p is not self
+        ]
 
     def _peer(self, manager_index: int) -> "ManagerTileHw":
         if manager_index not in self._peers:
@@ -245,24 +253,12 @@ class ManagerTileHw:
 
     def broadcast_update(self, queue_len: int) -> None:
         """UPDATE: broadcast the local queue length to all other managers."""
-        for peer in self._others:
-            payload = _Payload(
-                kind=MessageType.UPDATE,
-                src_manager=self.manager_index,
-                dst_manager=peer.manager_index,
-                queue_len=queue_len,
-            )
-            self.noc.send(
-                NocMessage(
-                    src=self.tile_id,
-                    dst=peer.tile_id,
-                    payload=payload,
-                    size_bytes=UPDATE_BYTES,
-                    vnet=ALTOCUMULUS_VNET,
-                ),
-                self._deliver,
-            )
-            self._m_updates_sent.value += 1
+        routes = self._update_routes
+        self.noc.fanout(
+            self.tile_id, routes, UPDATE_BYTES, ALTOCUMULUS_VNET,
+            self.manager_index, queue_len,
+        )
+        self._m_updates_sent.value += len(routes)
 
     # ------------------------------------------------------------------
     # Hardware internals
@@ -280,18 +276,18 @@ class ManagerTileHw:
         receiver = self._peer(payload.dst_manager)
         receiver._handle(payload)
 
+    def _receive_update(self, src_manager: int, queue_len: int) -> None:
+        """Controller receive path of an UPDATE (runs on this tile)."""
+        self._m_updates_received.value += 1
+        if self.on_update is not None:
+            self.on_update(src_manager, queue_len)
+
     def _handle(self, payload: _Payload) -> None:
         if payload.dst_manager != self.manager_index:
             raise RuntimeError(
                 f"misrouted message for manager {payload.dst_manager} "
                 f"delivered to {self.manager_index}"
             )
-        if payload.kind is MessageType.UPDATE:
-            self._m_updates_received.value += 1
-            self.prs.queue_lengths = list(self.prs.queue_lengths)
-            if self.on_update is not None:
-                self.on_update(payload.src_manager, payload.queue_len)
-            return
         if payload.kind is MessageType.MIGRATE:
             self._receive_migrate(payload)
             return

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.sim.engine import Simulator
 from repro.hw.topology import MeshTopology
@@ -29,8 +29,8 @@ from repro.telemetry import MetricRegistry, trace_sink
 #: Width of one NoC flit in bytes (typical 128-bit links).
 FLIT_BYTES = 16
 
-#: Messages are allocated once per MIGRATE/UPDATE/ACK, which at tick
-#: rates means tens of thousands per run -- slotted where the runtime
+#: Messages are allocated once per MIGRATE/ACK/NACK (UPDATEs ride
+#: :meth:`Noc.fanout` without one) -- slotted where the runtime
 #: supports it (``dataclass(slots=True)`` needs Python 3.10).
 _SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
@@ -131,6 +131,10 @@ class Noc:
         hops = self.topology.hops(msg.src, msg.dst)
         return hops * self.per_hop_ns + msg.flits * self.flit_ns
 
+    def hop_ns(self, src: int, dst: int) -> float:
+        """Per-hop latency of the XY route from ``src`` to ``dst``."""
+        return self.topology.hops(src, dst) * self.per_hop_ns
+
     def send(
         self,
         msg: NocMessage,
@@ -142,73 +146,78 @@ class Noc:
         is enabled and the destination's ejection port is still draining
         an earlier message, delivery is pushed back accordingly.
         """
+        msg.injected_at = self.sim.now
+        route = (msg.dst, self.hop_ns(msg.src, msg.dst), on_delivery)
+        msg.delivered_at = self.fanout(
+            msg.src, (route,), msg.size_bytes, msg.vnet, msg
+        )
+        return msg.delivered_at
+
+    def fanout(
+        self,
+        src: int,
+        routes: Sequence[Tuple[int, float, Callable[..., None]]],
+        size_bytes: int,
+        vnet: int,
+        *args: Any,
+    ) -> float:
+        """Inject one message from ``src`` per route; the transport
+        behind :meth:`send`, and the UPDATE broadcast itself.
+
+        Models UPDATE broadcasts as one unicast per destination (no
+        tree), matching the simple controller hardware of Fig. 6.  Each
+        route is ``(dst, hop_ns, on_delivery)`` with ``hop_ns`` from
+        :meth:`hop_ns`, precomputed by the caller; ``on_delivery(*args)``
+        runs at arrival, so a broadcast allocates no :class:`NocMessage`.
+        Routes are charged in order, each exactly as :meth:`send` charges
+        its message.  Returns the last route's arrival time (``now``
+        when there are no routes, which touch no state).
+        """
         now = self.sim.now
-        msg.injected_at = now
-        # Compute the flit count once per send: ``msg.flits`` is a
-        # property doing float ceil math, and the hot path needs it up
-        # to twice (latency + ejection-port hold).  Integer ceil is
-        # exact for byte counts.
-        flit_time = max(1, -(-msg.size_bytes // FLIT_BYTES)) * self.flit_ns
-        if self.link_contention:
-            arrival = self._contended_arrival(msg)
-        else:
-            arrival = (
-                now
-                + self.topology.hops(msg.src, msg.dst) * self.per_hop_ns
-                + flit_time
-            )
-        if self.endpoint_serialization:
-            free_at = self._ejection_free.get(msg.dst, 0.0)
-            if free_at > arrival:
-                arrival = free_at
-            # The ejection port is busy for the message's flit time.
-            self._ejection_free[msg.dst] = arrival + flit_time
-        msg.delivered_at = arrival
-        self._m_messages.value += 1
-        self._m_bytes.value += msg.size_bytes
-        self._m_latency.value += arrival - now
-        by_vnet = self._by_vnet
-        by_vnet[msg.vnet] = by_vnet.get(msg.vnet, 0) + 1
+        if not routes:
+            return now
+        schedule_at = self.sim.schedule_at
+        # Integer ceil is exact for byte counts and cheaper than the
+        # float ceil behind ``NocMessage.flits``.
+        flit_time = max(1, -(-size_bytes // FLIT_BYTES)) * self.flit_ns
+        contended = self.link_contention
+        ejection_free = (
+            self._ejection_free if self.endpoint_serialization else None
+        )
         trace = self._trace
-        if trace.enabled:
-            trace.span("noc", msg.dst, f"vnet{msg.vnet}", now, arrival)
-        self.sim.schedule_at(arrival, on_delivery, msg)
+        arrival = now
+        for dst, hop_ns, on_delivery in routes:
+            if contended:
+                arrival = self._contended_arrival(src, dst, flit_time)
+            else:
+                arrival = now + hop_ns + flit_time
+            if ejection_free is not None:
+                free_at = ejection_free.get(dst, 0.0)
+                if free_at > arrival:
+                    arrival = free_at
+                # The ejection port is busy for the message's flit time.
+                ejection_free[dst] = arrival + flit_time
+            self._m_latency.value += arrival - now
+            if trace.enabled:
+                trace.span("noc", dst, f"vnet{vnet}", now, arrival)
+            schedule_at(arrival, on_delivery, *args)
+        n = len(routes)
+        self._m_messages.value += n
+        self._m_bytes.value += n * size_bytes
+        by_vnet = self._by_vnet
+        by_vnet[vnet] = by_vnet.get(vnet, 0) + n
         return arrival
 
-    def _contended_arrival(self, msg: NocMessage) -> float:
+    def _contended_arrival(self, src: int, dst: int, serialization: float) -> float:
         """Wormhole-style traversal with per-link serialization.
 
         The head flit waits for each link on the XY route to free, then
         holds it for the message's serialization time; the tail flit
         arrives one serialization window after the head.
         """
-        serialization = msg.flits * self.flit_ns
         t = self.sim.now
-        for link in self.topology.route_links(msg.src, msg.dst):
+        for link in self.topology.route_links(src, dst):
             t = max(t, self._link_free.get(link, 0.0))
             self._link_free[link] = t + serialization
             t += self.per_hop_ns
         return t + serialization
-
-    def broadcast(
-        self,
-        src: int,
-        dsts: "list[int]",
-        payload: Any,
-        size_bytes: int,
-        on_delivery: Callable[[NocMessage], None],
-        vnet: int = 0,
-    ) -> None:
-        """Send one copy of ``payload`` from ``src`` to each tile in ``dsts``.
-
-        Models UPDATE broadcasts: one unicast per destination (no tree),
-        matching the simple controller hardware of Fig. 6.
-        """
-        for dst in dsts:
-            if dst == src:
-                continue
-            self.send(
-                NocMessage(src=src, dst=dst, payload=payload,
-                           size_bytes=size_bytes, vnet=vnet),
-                on_delivery,
-            )

@@ -7,8 +7,11 @@ Each Altocumulus manager tile adds:
   the LLC.  Bounded per Sec. V-B: near saturation E[Nq] ~ 11 per group,
   so one 154 B file (11 entries) suffices -- but the capacity is a
   parameter so sizing studies can sweep it.
-* **Parameter registers (PRs)** -- Period, Bulk, Concurrency, threshold
-  T and the queue-length vector q, written by PREDICT_CONFIG.
+* **Parameter registers (PRs)** -- Period, Bulk, Concurrency and
+  threshold T, written by PREDICT_CONFIG.  The PRs' queue-length vector
+  q is played by the runtime's
+  :attr:`~repro.core.runtime.ManagerRuntime.q_view`, which UPDATEs
+  refresh.
 * **Send/receive FIFOs** -- 16-entry staging buffers between the
   migrator and the NoC; a full receive FIFO NACKs incoming migrations.
 """
@@ -16,7 +19,7 @@ Each Altocumulus manager tile adds:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.workload.request import Request
@@ -190,13 +193,18 @@ class MigrationRegisterFile:
 @dataclass
 class ParameterRegisters:
     """The PR block: runtime-tunable migration parameters (Table II's
-    PREDICT_CONFIG writes land here)."""
+    PREDICT_CONFIG writes land here).
+
+    The paper's PRs also hold the synchronized queue-length vector q;
+    the model keeps it as :attr:`ManagerRuntime.q_view
+    <repro.core.runtime.ManagerRuntime.q_view>`, written by the UPDATE
+    receive path.
+    """
 
     period_ns: float = 200.0
     bulk: int = 16
     concurrency: int = 1
     threshold: float = float("inf")
-    queue_lengths: List[int] = field(default_factory=list)
 
     def configure(self, **kwargs: object) -> None:
         """Apply a PREDICT_CONFIG register write."""

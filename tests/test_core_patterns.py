@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import (
+    MigrationPlan,
     Pattern,
     classify_pattern,
     migrate_size,
@@ -130,3 +131,75 @@ def test_plan_invariants(q, bulk, concurrency):
         assert len(set(plan.destinations)) == len(plan.destinations)
         patterns.add(classify_pattern(q, bulk))
     assert len(patterns) == 1  # all managers classify identically
+
+
+def _reference_migration_plan(q, self_index, bulk, concurrency,
+                              threshold=float("inf")):
+    """``migration_plan`` as it was before the balanced short-circuit:
+    always ranks the vector and classifies from the ranking."""
+    n = len(q)
+    ranked = sorted(range(n), key=q.__getitem__, reverse=True)
+    longest, second_longest = q[ranked[0]], q[ranked[1]]
+    shortest, second_shortest = q[ranked[-1]], q[ranked[-2]]
+    if longest - second_longest > bulk:
+        pattern = Pattern.HILL
+    elif second_shortest - shortest > bulk:
+        pattern = Pattern.VALLEY
+    elif longest - shortest > bulk:
+        pattern = Pattern.PAIRING
+    else:
+        pattern = Pattern.BALANCED
+    threshold_hit = q[self_index] > threshold
+
+    if pattern is Pattern.HILL:
+        if ranked[0] == self_index:
+            dests = [i for i in reversed(ranked) if i != self_index]
+            return MigrationPlan(pattern, dests[:concurrency])
+    elif pattern is Pattern.VALLEY:
+        lowest = ranked[-1]
+        if self_index != lowest:
+            return MigrationPlan(pattern, [lowest])
+        return MigrationPlan(pattern, [])
+    elif pattern is Pattern.PAIRING:
+        pairs = min(concurrency, n // 2)
+        for rank in range(pairs):
+            src = ranked[rank]
+            dst = ranked[n - 1 - rank]
+            if src == self_index and src != dst and q[src] > q[dst]:
+                return MigrationPlan(pattern, [dst])
+
+    if threshold_hit:
+        dests = [i for i in reversed(ranked) if i != self_index]
+        return MigrationPlan(pattern, dests[:concurrency])
+    return MigrationPlan(pattern, [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    q=st.lists(st.integers(0, 60), min_size=2, max_size=16),
+    concurrency=st.integers(1, 8),
+    data=st.data(),
+)
+def test_balanced_short_circuit_matches_reference(q, concurrency, data):
+    """The O(n) balanced short-circuit returns exactly the plan the
+    full ranking did, for every threshold including the boundary ones.
+    ``bulk`` is drawn around the vector's spread half the time, so the
+    ``spread == bulk`` edge is exercised."""
+    spread = max(q) - min(q)
+    bulk = data.draw(
+        st.one_of(st.integers(1, 64),
+                  st.integers(max(1, spread - 1), max(1, spread + 1))),
+        label="bulk",
+    )
+    self_index = data.draw(st.integers(0, len(q) - 1), label="self_index")
+    own = q[self_index]
+    threshold = data.draw(
+        st.one_of(
+            st.sampled_from([float("inf"), own, own - 1, own + 1]),
+            st.floats(-1.0, 70.0, allow_nan=False),
+        ),
+        label="threshold",
+    )
+    assert migration_plan(q, self_index, bulk, concurrency, threshold) == (
+        _reference_migration_plan(q, self_index, bulk, concurrency, threshold)
+    )

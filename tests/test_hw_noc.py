@@ -4,6 +4,8 @@ import pytest
 
 from repro.hw.noc import FLIT_BYTES, Noc, NocMessage
 from repro.hw.topology import MeshTopology
+from repro.sim.engine import Simulator
+from repro.telemetry import TraceSink, capture
 
 
 def make_noc(sim, **kwargs):
@@ -68,14 +70,70 @@ class TestDelivery:
         assert noc.stats.mean_latency_ns > 0
 
 
+def _update_round(link_contention, fanout):
+    """Two UPDATE rounds from tile 5 to every other tile, behind a
+    MIGRATE-sized message that occupies tile 6's ejection port and the
+    links toward it; sent as one :meth:`Noc.fanout` per round or as one
+    :meth:`Noc.send` per destination.  Returns everything observable."""
+    src, size, vnet = 5, 8, 1
+    dsts = [d for d in range(16) if d != src]
+    sink = TraceSink()
+    with capture(trace=sink):
+        sim = Simulator()
+        noc = make_noc(sim, link_contention=link_contention)
+    delivered = []
+
+    def round_(qlen):
+        if fanout:
+            routes = [
+                (d, noc.hop_ns(src, d),
+                 lambda s, q, d=d: delivered.append((sim.now, d, s, q)))
+                for d in dsts
+            ]
+            noc.fanout(src, routes, size, vnet, src, qlen)
+        else:
+            for d in dsts:
+                noc.send(
+                    NocMessage(src=src, dst=d, payload=(src, qlen),
+                               size_bytes=size, vnet=vnet),
+                    lambda m: delivered.append((sim.now, m.dst, *m.payload)),
+                )
+
+    sim.schedule(7.0, noc.send,
+                 NocMessage(src=4, dst=6, payload=None, size_bytes=64),
+                 lambda m: None)
+    sim.schedule(7.0, round_, 11)
+    sim.schedule(7.5, round_, 12)
+    sim.run()
+    instruments = {
+        k: v for k, v in noc.registry.snapshot().items()
+        if k in ("noc.messages", "noc.bytes", "noc.latency_ns_total",
+                 "noc.by_vnet")
+    }
+    return (delivered, dict(noc._ejection_free), dict(noc._link_free),
+            instruments, sink.infrastructure_spans(), dsts)
+
+
 class TestBroadcast:
-    def test_broadcast_skips_source(self, sim):
-        noc = make_noc(sim)
-        received = []
-        noc.broadcast(0, [0, 1, 2, 3], payload="q", size_bytes=8,
-                      on_delivery=lambda m: received.append(m.dst))
-        sim.run()
-        assert sorted(received) == [1, 2, 3]
+    def test_broadcast_skips_source(self):
+        """An UPDATE fan-out is indistinguishable from one ``send`` per
+        destination: same delivery times and order, ejection-port and
+        link state, ``noc.*`` instruments and one ``noc`` trace span per
+        UPDATE, with and without link contention.  Its routes cover
+        every tile but the source, as a manager tile builds them."""
+        for link_contention in (False, True):
+            fanned = _update_round(link_contention, fanout=True)
+            sent = _update_round(link_contention, fanout=False)
+            assert fanned == sent
+            delivered, _, _, instruments, spans, dsts = fanned
+            assert sorted({d for _, d, _, _ in delivered}) == dsts
+            assert len(delivered) == 2 * len(dsts)
+            assert instruments["noc.messages"] == 1 + 2 * len(dsts)
+            assert instruments["noc.by_vnet"] == {"0": 1, "1": 2 * len(dsts)}
+            assert len([s for s in spans if s[2] == "vnet1"]) == 2 * len(dsts)
+            # The MIGRATE-sized message really delays tile 6's UPDATEs.
+            to_6 = [t for t, d, _, _ in delivered if d == 6]
+            assert to_6[0] > 7.0 + 3.0 + 1.0
 
     def test_invalid_latency_rejected(self, sim):
         with pytest.raises(ValueError):
