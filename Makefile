@@ -17,9 +17,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only \
 		--benchmark-json=BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
 
-## Regression gate: re-run the two gated microbenchmarks and fail if
-## stats.min regressed >2% against BENCH_BASELINE (a same-machine
-## pytest-benchmark JSON; defaults to the committed baseline).
+## Regression gate: re-run the four gated benchmarks in BENCH_GATED and
+## fail if any stats.min regressed >2% against BENCH_BASELINE (a
+## same-machine pytest-benchmark JSON; defaults to the committed baseline).
 BENCH_BASELINE ?= BENCH_20260809T004455Z.json
 BENCH_GATED = test_event_heap_throughput,test_full_system_simulation_rate,test_bench_sharded_datacenter_serial,test_bench_fanout_jobs
 bench-gate:

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from scipy import stats as scipy_stats
-
 
 @dataclass(frozen=True)
 class SeedSweepResult:
@@ -50,6 +48,9 @@ def confidence_interval(
     mean = sum(values) / n
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std = math.sqrt(variance)
+    # Deferred: importing scipy.stats costs ~1 s and ~55 MiB; no simulation run needs it.
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1))
     half = t_crit * std / math.sqrt(n)
     return SeedSweepResult(

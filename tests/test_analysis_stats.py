@@ -33,6 +33,15 @@ class TestConfidenceInterval:
             confidence_interval(values, 0.90).ci_half_width
         )
 
+    def test_student_t_critical_value(self):
+        # std of 1..5 is sqrt(2.5); t(0.975, df=4) = 2.7764451051977934.
+        result = confidence_interval([1, 2, 3, 4, 5])
+        assert result.ci_half_width == pytest.approx(1.9632431614775572, rel=1e-12)
+        # std of (1, 2, 3) is 1; t(0.995, df=2) = 9.924843200918287.
+        result = confidence_interval([1.0, 2.0, 3.0], confidence=0.99)
+        assert result.ci_half_width == pytest.approx(
+            9.924843200918287 / (3 ** 0.5), rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             confidence_interval([1.0])
