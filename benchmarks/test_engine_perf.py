@@ -43,17 +43,16 @@ def test_full_system_simulation_rate(benchmark):
 
 # ----------------------------------------------------------------------
 # Microbenchmarks for the individually optimized fast paths.  Each one
-# isolates a hot path reworked by the kernel overhaul (free-list events,
-# timer reuse, lazy-cancel compaction, memoized threshold math, ndarray
-# latency accumulation, batched RNG prefetch, single-sort planning) so a
-# regression in any of them is attributable from the benchmark history
-# alone.
+# isolates a hot path (periodic re-arm, lazy-cancel compaction, memoized
+# threshold math, ndarray latency accumulation, batched RNG prefetch,
+# single-sort planning) so a regression in any of them is attributable
+# from the benchmark history alone.
 # ----------------------------------------------------------------------
 
 
-def test_timer_reuse_throughput(benchmark):
-    """Re-arming one Event via ``schedule_timer`` (the periodic-tick
-    path) instead of allocating a fresh event per fire."""
+def test_periodic_rearm_throughput(benchmark):
+    """A callback that re-arms itself through ``schedule`` and keeps the
+    newest handle, as the manager tick loops and periodic timers do."""
 
     def spin():
         sim = Simulator()
@@ -62,7 +61,7 @@ def test_timer_reuse_throughput(benchmark):
         def tick():
             if state["remaining"]:
                 state["remaining"] -= 1
-                state["event"] = sim.schedule_timer(1.0, tick, event=state["event"])
+                state["event"] = sim.schedule(1.0, tick)
 
         tick()
         sim.run()

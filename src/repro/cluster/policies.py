@@ -362,9 +362,7 @@ class ShortestExpectedWaitSteering(SteeringPolicy):
             self._samples[server] = self.probe(server)
             self._sent_since_sample[server] = 0
         self.samples_taken += 1
-        self._timer = self.sim.schedule_timer(
-            self.sample_period_ns, self._sample, event=self._timer
-        )
+        self._timer = self.sim.schedule(self.sample_period_ns, self._sample)
 
     # ------------------------------------------------------------------
     def expected_wait(self, server: int) -> float:

@@ -110,9 +110,7 @@ class ControlLoop:
         hooks = getattr(system, "completion_hooks", None)
         if hooks is not None:
             hooks.append(self._on_complete)
-        self._event: Optional[Event] = sim.schedule_timer(
-            config.epoch_ns, self._tick
-        )
+        self._event: Optional[Event] = sim.schedule(config.epoch_ns, self._tick)
 
     # ------------------------------------------------------------------
     # Sensing
@@ -185,9 +183,7 @@ class ControlLoop:
         self._epoch_index += 1
         self._epoch_start = self.sim.now
         self._lat.clear()
-        self._event = self.sim.schedule_timer(
-            self.config.epoch_ns, self._tick, event=self._event
-        )
+        self._event = self.sim.schedule(self.config.epoch_ns, self._tick)
 
     def finalize(self) -> None:
         """Stop the epoch timer and flush open actuation spans (call

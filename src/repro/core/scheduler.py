@@ -43,7 +43,7 @@ from repro.hw.nic import HwTerminatedDelivery, PcieDelivery, RssSteering
 from repro.hw.noc import Noc
 from repro.hw.topology import MeshTopology
 from repro.schedulers.base import RpcSystem
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.request import Request
 
@@ -199,14 +199,10 @@ class AltocumulusSystem(RpcSystem):
             )
             self.runtimes.append(runtime)
             self.managers[group].on_update = runtime.on_update
-        #: One reusable tick event per group (the schedule_timer path).
-        self._tick_events: List[Optional[Event]] = [None] * g
         if config.runtime_enabled and g > 1:
             self._tick_running = True
             for group in range(g):
-                self._tick_events[group] = sim.schedule_timer(
-                    config.period_ns, self._tick_loop, group
-                )
+                sim.schedule(config.period_ns, self._tick_loop, group)
 
     # ------------------------------------------------------------------
     # Group/core index arithmetic
@@ -607,9 +603,7 @@ class AltocumulusSystem(RpcSystem):
         self._tick_cost[group] = 0.0
         self.runtimes[group].tick()
         delay = max(self.config.period_ns, self._tick_cost[group])
-        self._tick_events[group] = self.sim.schedule_timer(
-            delay, self._tick_loop, group, event=self._tick_events[group]
-        )
+        self.sim.schedule(delay, self._tick_loop, group)
 
     def shutdown(self) -> None:
         self._tick_running = False

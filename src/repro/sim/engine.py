@@ -3,7 +3,7 @@
 A :class:`Simulator` owns a binary-heap event queue and a monotonically
 advancing clock.  Everything in the reproduction -- NIC arrivals, core
 completions, NoC message deliveries, the Altocumulus runtime's periodic
-ticks -- is an :class:`Event` scheduled on one shared simulator, so causal
+ticks -- is an event scheduled on one shared simulator, so causal
 ordering across subsystems falls out of the single clock.
 
 Design notes
@@ -17,47 +17,39 @@ Design notes
   dead entries come to dominate the heap the simulator compacts it in
   place (see :meth:`Simulator.cancel`), so pathological cancel-heavy
   workloads cannot grow the heap without bound.
-* Callbacks run synchronously inside :meth:`Simulator.step`.  A callback
-  may schedule further events (including at the current time) but must not
-  schedule into the past.
+* Callbacks run synchronously inside :meth:`Simulator.run` or
+  :meth:`Simulator.step`.  A callback may schedule further events
+  (including at the current time) but must not schedule into the past,
+  and must not call ``run`` or ``step`` itself.
 
 Fast-path engineering (all behavior-preserving)
 -----------------------------------------------
 The event kernel is the hottest code in the repository -- every simulated
-nanosecond flows through it -- so it trades a little uniformity for
-throughput:
+nanosecond flows through it -- so an event costs one small list and one
+heap push and pop, and nothing else:
 
-* **C-level heap ordering.**  Heap entries are ``(time, seq, event)``
-  tuples, not the :class:`Event` objects themselves, so ``heapq``'s C
-  implementation compares floats/ints directly and ``Event.__lt__`` is
-  never invoked on the hot path (it is retained for API compatibility).
-* **Event free list.**  After a callback returns, its Event object is
-  recycled onto a bounded free list *iff* no caller kept a handle to it
-  (checked via the CPython reference count, which is exact and
-  deterministic).  Handles that escape -- anything a caller might still
-  :meth:`Simulator.cancel` -- are never recycled, which preserves the
-  documented "cancel after fire is a no-op" contract verbatim.
-* **Timer reuse.**  Periodic machinery (manager runtime ticks, preemption
-  quanta) reschedules the *same* Event object via
-  :meth:`Simulator.schedule_timer` instead of allocating one per period.
-* **Monomorphic run loop.**  :meth:`Simulator.run` binds the heap, the
-  ``heapq`` primitives and the free list to locals and inlines the pop
-  path rather than calling :meth:`step` per event.
+* **The heap entry is the handle.**  An event is the list
+  ``[time, seq, fn, args]`` that sits in the heap, and
+  :meth:`Simulator.schedule` returns that list as the :data:`Event`
+  handle.  ``heapq``'s C implementation orders entries by ``time`` and
+  then ``seq``; sequence numbers are unique, so ``fn`` is never compared.
+* **One state slot.**  :meth:`Simulator.run` and :meth:`Simulator.step`
+  clear the ``fn`` slot just before they call the callback, and
+  :meth:`Simulator.cancel` clears it too, so ``fn is None`` means "fired
+  or cancelled" and a second cancel, or a cancel after firing, returns at
+  once.  A fired entry has already left the heap when its slot is
+  cleared, so any entry popped with ``fn is None`` was cancelled.
+  Handles are never reused: a handle kept after its event fired cannot
+  reach a later event.
+* **Monomorphic run loop.**  :meth:`Simulator.run` binds the heap and
+  ``heappop`` to locals and inlines the pop path rather than calling
+  :meth:`step` per event.
 """
 
 from __future__ import annotations
 
-import sys
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
-
-#: Exact reference counting is a CPython detail; on other interpreters the
-#: free list simply never recycles (correct, just slower).
-_getrefcount = getattr(sys, "getrefcount", None)
-
-#: Upper bound on the event free list.  Steady-state simulations recycle
-#: through a handful of entries; the cap only matters after bursts.
-_FREE_LIST_MAX = 1024
+from typing import Any, Callable, List, Optional
 
 #: Compaction policy: rebuild the heap once at least this many cancelled
 #: entries exist *and* they outnumber the live ones.
@@ -68,41 +60,10 @@ class SimulationError(RuntimeError):
     """Raised on invalid simulator operations (e.g. scheduling in the past)."""
 
 
-class Event:
-    """A single scheduled callback.
-
-    Instances are created by :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at`; user code holds them only to cancel.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.cancelled:
-            state = "cancelled"
-        elif self.fired:
-            state = "fired"
-        else:
-            state = "pending"
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<Event t={self.time:.1f}ns #{self.seq} {name} {state}>"
-
-
-#: The heap entry layout: (time, seq, event).
-_Entry = Tuple[float, int, Event]
+#: The opaque handle :meth:`Simulator.schedule` returns: the heap entry
+#: ``[time, seq, fn, args]`` itself.  Callers only pass it to
+#: :meth:`Simulator.cancel`.
+Event = List[Any]
 
 
 class Simulator:
@@ -123,13 +84,11 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[_Entry] = []
+        self._heap: List[Event] = []
         self._seq: int = 0
         self._events_processed: int = 0
         self._running: bool = False
         self._stopped: bool = False
-        #: Recycled Event objects with no outstanding handles.
-        self._free: List[Event] = []
         #: Cancelled events still sitting in the heap (exact count).
         self._dead: int = 0
 
@@ -140,22 +99,11 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
-        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
-        return event
+        entry = [self.now + delay, seq, fn, args]
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
@@ -165,70 +113,23 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
-        return event
-
-    def schedule_timer(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        event: Optional[Event] = None,
-    ) -> Event:
-        """Schedule a periodic-tick callback, reusing ``event`` if possible.
-
-        The dedicated path for self-rescheduling machinery (the manager
-        runtime's ``Period`` tick, preemption quanta): pass the Event
-        returned by the previous firing and, provided it has already
-        fired, the same object is re-armed and re-pushed instead of
-        allocating a new one.
-
-        The returned Event must be owned exclusively by the calling
-        timer: handing it to other code that might cancel a stale
-        incarnation is undefined.  An ``event`` that never fired (e.g. a
-        stopped timer's cancelled entry, which may still sit in the
-        heap) is ignored and a fresh Event allocated.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule with negative delay {delay}")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        if event is not None and event.fired and not event.cancelled:
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.fired = False
-        else:
-            event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
-        return event
+        entry = [time, seq, fn, args]
+        heappush(self._heap, entry)
+        return entry
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.  Cancelling twice, or after it has fired,
         is a harmless no-op.
 
-        O(1): the event is only flagged; the heap entry is reaped when it
-        reaches the top -- or, once dead entries are numerous *and*
+        O(1): the entry's callback slot is cleared and the entry is reaped
+        when it reaches the top -- or, once dead entries are numerous *and*
         outnumber live ones, by an immediate in-place compaction, keeping
         cancel-heavy simulations (preemptive schedulers) from accumulating
         unbounded garbage.
         """
-        if event.cancelled or event.fired:
+        if event[2] is None:
             return
-        event.cancelled = True
+        event[2] = None
         dead = self._dead + 1
         self._dead = dead
         if dead >= _COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
@@ -242,7 +143,7 @@ class Simulator:
         the same list object rather than rebind ``self._heap``.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapify(heap)
         self._dead = 0
 
@@ -250,17 +151,29 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Run the next pending event.  Returns False if the heap is empty."""
+        """Run the next pending event.  Returns False if the heap is empty.
+
+        Like :meth:`run`, not reentrant: calling it from inside a callback
+        raises :class:`SimulationError` instead of firing the next event
+        early and moving the clock under the running callback.
+        """
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
         heap = self._heap
         while heap:
-            event = heappop(heap)[2]
-            if event.cancelled:
+            entry = heappop(heap)
+            fn = entry[2]
+            if fn is None:
                 self._dead -= 1
                 continue
-            self.now = event.time
+            entry[2] = None
+            self.now = entry[0]
             self._events_processed += 1
-            event.fired = True
-            event.fn(*event.args)
+            self._running = True
+            try:
+                fn(*entry[3])
+            finally:
+                self._running = False
             return True
         return False
 
@@ -290,9 +203,7 @@ class Simulator:
         limit_hit = False
         # Local bindings for the hot loop.
         heap = self._heap
-        free = self._free
         pop = heappop
-        getref = _getrefcount
         horizon = until if until is not None else float("inf")
         budget = max_events if max_events is not None else -1
         try:
@@ -303,41 +214,20 @@ class Simulator:
                     limit_hit = True
                     break
                 entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
+                fn = entry[2]
+                if fn is None:
                     pop(heap)
                     self._dead -= 1
-                    entry = None
-                    if (
-                        getref is not None
-                        and getref(event) == 2
-                        and len(free) < _FREE_LIST_MAX
-                    ):
-                        event.fn = None
-                        event.args = None
-                        free.append(event)
                     continue
                 time = entry[0]
                 if time > horizon:
                     break
                 pop(heap)
-                entry = None  # drop the tuple's reference for the recycle check
+                entry[2] = None
                 self.now = time
                 self._events_processed += 1
-                event.fired = True
-                event.fn(*event.args)
+                fn(*entry[3])
                 executed += 1
-                # Recycle iff nothing outside this frame holds the event
-                # (2 == the `event` local + getrefcount's argument), i.e.
-                # no one can ever cancel this incarnation.
-                if (
-                    getref is not None
-                    and getref(event) == 2
-                    and len(free) < _FREE_LIST_MAX
-                ):
-                    event.fn = None
-                    event.args = None
-                    free.append(event)
             else:
                 # Loop fell through: drained.  A drained heap still
                 # counts as limit-exhausted when the last executed event
@@ -366,9 +256,10 @@ class Simulator:
         """Number of events still in the heap, *including* lazily-cancelled
         entries that have not been reaped yet.
 
-        Cancellation only flags an event (see :meth:`cancel`), so this
-        gauges heap memory, not future work.  Use :attr:`pending_active`
-        for the number of events that will actually fire.
+        Cancellation only clears an entry's callback (see :meth:`cancel`),
+        so this gauges heap memory, not future work.  Use
+        :attr:`pending_active` for the number of events that will
+        actually fire.
         """
         return len(self._heap)
 
@@ -383,7 +274,7 @@ class Simulator:
         return self._events_processed
 
     def register_metrics(self, registry, prefix: str = "sim") -> None:
-        """Expose clock and event-pool state as bound telemetry gauges.
+        """Expose clock and heap state as bound telemetry gauges.
 
         The instruments read live attributes at snapshot time; nothing
         is added to the event loop itself.
@@ -396,9 +287,6 @@ class Simulator:
         registry.gauge(
             f"{prefix}.heap_pending_active",
             fn=lambda: len(self._heap) - self._dead,
-        )
-        registry.gauge(
-            f"{prefix}.event_free_list", fn=lambda: len(self._free)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -47,11 +47,7 @@ class PeriodicTimer:
         self.fires += 1
         self.fn(*self.args)
         if not self._stopped:
-            # The just-fired event is exclusively ours: re-arm it via the
-            # engine's timer-reuse path instead of allocating a new one.
-            self._event = self.sim.schedule_timer(
-                self.period, self._fire, event=self._event
-            )
+            self._event = self.sim.schedule(self.period, self._fire)
 
     def set_period(self, period: float) -> None:
         """Change the firing interval (effective after the next firing)."""

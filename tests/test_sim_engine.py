@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError
+from repro.sim.engine import _COMPACT_MIN_DEAD, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -83,12 +85,12 @@ class TestCancellation:
 
     def test_other_events_survive_cancellation(self, sim):
         hits = []
-        keep = sim.schedule(10.0, hits.append, "keep")
+        sim.schedule(10.0, lambda: hits.append(("keep", sim.now)))
         drop = sim.schedule(5.0, hits.append, "drop")
         sim.cancel(drop)
         sim.run()
-        assert hits == ["keep"]
-        assert keep.time == 10.0
+        assert hits == [("keep", 10.0)]
+        assert sim.now == 10.0
 
 
 class TestRunControl:
@@ -137,6 +139,24 @@ class TestRunControl:
         sim.schedule(1.0, reenter)
         sim.run()
 
+    @pytest.mark.parametrize("outer", ["run", "step"])
+    def test_step_is_not_reentrant(self, sim, outer):
+        # A nested step() would fire the t=10 event early and move the
+        # clock under the t=5 callback that is still running.
+        seen = []
+
+        def reenter():
+            with pytest.raises(SimulationError):
+                sim.step()
+            seen.append(sim.now)
+
+        sim.schedule(5.0, reenter)
+        sim.schedule(10.0, seen.append, "later")
+        getattr(sim, outer)()
+        assert seen[0] == 5.0
+        sim.run()
+        assert seen == [5.0, "later"]
+
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 
@@ -164,13 +184,18 @@ class TestEdgeCases:
         assert sim.events_processed == 2
 
     def test_cancel_fired_event_does_not_cancel_reused_slot(self, sim):
-        # Cancelling a fired event must only flag THAT event object,
-        # never a later event that happens to share time/seq patterns.
+        """Cancelling a fired event must leave a later event at the same
+        time alone.  Slots are no longer reused -- every schedule returns a
+        fresh heap entry -- so this pins the contract through what the
+        caller can observe: the later event stays live and fires."""
+        hits = []
         first = sim.schedule(5.0, lambda: None)
         sim.run()
-        later = sim.schedule(5.0, lambda: None)
+        sim.schedule(5.0, hits.append, "later")
         sim.cancel(first)
-        assert later.cancelled is False
+        assert sim.pending_active == 1
+        sim.run()
+        assert hits == ["later"]
 
     def test_stop_inside_callback_skips_same_time_events(self, sim):
         hits = []
@@ -342,3 +367,176 @@ class TestPendingCounters:
         assert sim.pending_active == len(keep)
         sim.run()
         assert sim.events_processed == len(keep)
+
+
+class _ReferenceKernel:
+    """The simulator's contract, written as plainly as possible.
+
+    Entries live in an unordered list and the next one is found by a
+    linear scan for the smallest ``(time, seq)``.  Cancelled entries stay
+    in the list until they reach the front (or a compaction drops them),
+    so ``pending`` and ``pending_active`` are counted, not tracked.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._entries = []  # [time, seq, fn, args, state]
+        self._seq = 0
+        self._stopped = False
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, time, fn, *args):
+        entry = [time, self._seq, fn, args, "pending"]
+        self._seq += 1
+        self._entries.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry[4] != "pending":
+            return
+        entry[4] = "cancelled"
+        dead = len(self._entries) - self.pending_active
+        if dead >= _COMPACT_MIN_DEAD and dead * 2 > len(self._entries):
+            self._entries = [e for e in self._entries if e[4] == "pending"]
+
+    def stop(self):
+        self._stopped = True
+
+    def _pop_front(self):
+        entry = min(self._entries, key=lambda e: (e[0], e[1]))
+        self._entries.remove(entry)
+        return entry
+
+    def _fire(self, entry):
+        entry[4] = "fired"
+        self.now = entry[0]
+        self.events_processed += 1
+        entry[2](*entry[3])
+
+    def step(self):
+        while self._entries:
+            entry = self._pop_front()
+            if entry[4] == "pending":
+                self._fire(entry)
+                return True
+        return False
+
+    def run(self, until=None, max_events=None):
+        self._stopped = False
+        executed = 0
+        while self._entries and not self._stopped and executed != max_events:
+            front = min(self._entries, key=lambda e: (e[0], e[1]))
+            if front[4] == "cancelled":
+                self._entries.remove(front)
+                continue
+            if until is not None and front[0] > until:
+                break
+            self._fire(self._pop_front())
+            executed += 1
+        # Clamp only when every event at or before `until` ran.
+        if until is not None and not self._stopped and executed != max_events:
+            self.now = max(self.now, until)
+
+    @property
+    def pending(self):
+        return len(self._entries)
+
+    @property
+    def pending_active(self):
+        return sum(1 for e in self._entries if e[4] == "pending")
+
+
+_DELAYS = st.sampled_from([0.0, 1.0, 2.0, 2.5, 5.0])
+#: What a fired callback does besides logging itself.
+_ACTIONS = st.one_of(
+    st.just(("noop",)),
+    st.just(("stop",)),
+    st.tuples(st.just("spawn"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 200)),
+    st.just(("cancel_all",)),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _DELAYS, _ACTIONS),
+        st.tuples(st.just("schedule_at"), _DELAYS, _ACTIONS),
+        st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(
+            st.just("run"),
+            st.one_of(st.none(), _DELAYS),
+            st.one_of(st.none(), st.integers(0, 6)),
+        ),
+        st.just(("step",)),
+        # Many events, most cancelled at once: drives the compaction.
+        st.tuples(st.just("flood"), st.integers(0, 150), st.integers(2, 8)),
+    ),
+    max_size=40,
+)
+
+
+def _play(kernel, ops):
+    """Apply ``ops`` to ``kernel`` and return everything observable."""
+    handles = []
+    observed = []
+
+    def pick(index):
+        return handles[index % len(handles)] if handles else None
+
+    def callback(ident, action):
+        observed.append(("fire", ident, kernel.now))
+        kind = action[0]
+        if kind == "stop":
+            kernel.stop()
+        elif kind == "spawn":
+            handles.append(kernel.schedule(action[1], callback, -ident, ("noop",)))
+        elif kind == "cancel" and handles:
+            kernel.cancel(pick(action[1]))
+        elif kind == "cancel_all":
+            for handle in list(handles):
+                kernel.cancel(handle)
+
+    for ident, op in enumerate(ops, start=1):
+        kind = op[0]
+        result = None
+        if kind == "schedule":
+            handles.append(kernel.schedule(op[1], callback, ident, op[2]))
+        elif kind == "schedule_at":
+            handles.append(
+                kernel.schedule_at(kernel.now + op[1], callback, ident, op[2])
+            )
+        elif kind == "cancel" and handles:
+            kernel.cancel(pick(op[1]))
+        elif kind == "run":
+            until = None if op[1] is None else kernel.now + op[1]
+            kernel.run(until=until, max_events=op[2])
+        elif kind == "step":
+            result = kernel.step()
+        elif kind == "flood":
+            batch = [
+                kernel.schedule(float(i % 7), callback, ident, ("noop",))
+                for i in range(op[1])
+            ]
+            handles.extend(batch)
+            for i, handle in enumerate(batch):
+                if i % op[2]:
+                    kernel.cancel(handle)
+        observed.append(
+            (kind, result, kernel.now, kernel.events_processed,
+             kernel.pending, kernel.pending_active)
+        )
+    kernel.run()
+    observed.append((kernel.now, kernel.events_processed, kernel.pending))
+    return observed
+
+
+class TestReferenceModel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ops=_OPS)
+    def test_matches_sorted_reference(self, ops):
+        """Random interleavings of schedule/schedule_at, cancel (before
+        fire, after fire, twice), stop() inside callbacks, ``until``,
+        ``max_events`` and ``step`` fire the same callbacks at the same
+        times, and leave the same clock and counters, as the reference."""
+        assert _play(Simulator(), ops) == _play(_ReferenceKernel(), ops)
